@@ -492,8 +492,9 @@ class AdversarialKickstartLearner(QLearner):
     The target net is constant between target updates, so its values over
     every index row (at the stored actions) are cached and refreshed exactly
     when the targets move; a contract test pins this cache to the slow
-    per-transition path.  With lam == 0 the penalty machinery is skipped
-    entirely and training steps are bit-for-bit vanilla.
+    per-transition path.  Neighbour rows are memoised per latent (see
+    _neighbors).  With lam == 0 the penalty machinery is skipped entirely and
+    training steps are bit-for-bit vanilla.
     """
 
     kind = "cdql-ae"
@@ -504,6 +505,7 @@ class AdversarialKickstartLearner(QLearner):
         if len(index) == 0:
             raise ValueError("cdql-ae needs a non-empty retrieval index")
         self.index = index
+        self._neighbor_memo: dict[bytes, np.ndarray] = {}
         self._demo_q: np.ndarray | None = None
         self._refresh_demo_cache()
 
@@ -516,9 +518,24 @@ class AdversarialKickstartLearner(QLearner):
         self._refresh_demo_cache()
 
     def _neighbors(self, batch: ArrayBatch) -> np.ndarray:
-        idx, _ = knn_batch(self.index, batch.latents, self.hp.k_neighbors,
-                           metric=self.hp.knn_metric)
-        return idx
+        """(B, k) neighbour rows of each batch latent, searched once per latent.
+
+        A latent's neighbours depend only on the fixed index and the latent
+        itself, so they are memoised by its bytes and only latents not seen
+        before go to knn_batch, each once.  The memo holds one entry per
+        distinct latent the run encodes: at most the environment's number of
+        distinct non-terminal observations (63 on room-nav).
+        """
+        keys = [latent.tobytes() for latent in batch.latents]
+        missing = {}
+        for row, key in enumerate(keys):
+            if key not in self._neighbor_memo:
+                missing.setdefault(key, row)
+        if missing:
+            idx, _ = knn_batch(self.index, batch.latents[list(missing.values())],
+                               self.hp.k_neighbors, metric=self.hp.knn_metric)
+            self._neighbor_memo.update(zip(missing, idx))
+        return np.stack([self._neighbor_memo[key] for key in keys])
 
     def z_for_batch(self, batch: ArrayBatch, neighbor_idx: np.ndarray) -> np.ndarray:
         return self._demo_q[neighbor_idx].mean(axis=1) - batch.rewards

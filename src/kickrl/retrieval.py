@@ -1,8 +1,13 @@
 """Latent similarity search over the demo store and the search-based expert.
 
-Search is exact and exhaustive: at desk-scale store sizes (around 1.5k rows)
-a full distance pass is microseconds and removes every source of approximate
-nondeterminism.  Ties break toward the lowest row index via a stable sort.
+Search is exact and exhaustive.  A demo store repeats its states many times
+(room-nav: 1,557 rows holding 63 distinct latents), so the index keeps its
+distinct latents and a row-to-distinct map, and a query measures its distance
+to each distinct latent once, in the direct form sum((u - q)^2).  Rows that
+share a latent therefore share one distance, distances are never negative,
+and each query's result depends on that query alone, not on the rest of its
+batch.  The k nearest rows come out in ascending distance with ties broken
+toward the lowest row index.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ class LatentIndex:
     encoder_id: str
     env_id: str
     action_count: int
-    _sq_norms: np.ndarray = field(init=False, repr=False)
+    _distinct: np.ndarray = field(init=False, repr=False)  # (M, d) distinct latents
+    _row_distinct: np.ndarray = field(init=False, repr=False)  # (N,) row -> distinct latent
 
     def __post_init__(self) -> None:
         self.latents = np.asarray(self.latents, dtype=np.float64)
@@ -41,7 +47,13 @@ class LatentIndex:
             raise ShapeError("index arrays are not aligned")
         if n and not np.all(np.isfinite(self.latents)):
             raise ValueError("latents contain non-finite values")
-        self._sq_norms = np.einsum("ij,ij->i", self.latents, self.latents)
+        # Rows are told apart by their bytes (np.unique(axis=0) is ~30x slower
+        # on 128-wide grid latents); ids follow first appearance, so id j's
+        # first row is the j-th first occurrence.
+        ids: dict[bytes, int] = {}
+        self._row_distinct = np.array([ids.setdefault(latent.tobytes(), len(ids))
+                                       for latent in self.latents], dtype=np.int64)
+        self._distinct = self.latents[np.unique(self._row_distinct, return_index=True)[1]]
 
     def __len__(self) -> int:
         return self.latents.shape[0]
@@ -86,58 +98,83 @@ def build_index(store: DemoStore, encoder: Encoder) -> LatentIndex:
     )
 
 
-def _distances_batch(index: LatentIndex, queries: np.ndarray, metric: str) -> np.ndarray:
+# Bound on the queries x distinct latents x dim (and queries x rows) elements
+# one pass of knn_batch holds, so its temporaries do not grow with the batch.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _distinct_distances(index: LatentIndex, queries: np.ndarray, metric: str) -> np.ndarray:
+    """(B, M) distances from each query to each distinct latent, direct form."""
+    distinct = index._distinct[None, :, :]
     if metric == "l2":
-        q_norms = np.einsum("ij,ij->i", queries, queries)
-        return q_norms[:, None] - 2.0 * (queries @ index.latents.T) + index._sq_norms[None, :]
-    if metric == "cosine":
-        qn = np.linalg.norm(queries, axis=1, keepdims=True)
-        ln = np.sqrt(index._sq_norms)
-        denom = np.maximum(qn * ln[None, :], 1e-300)
-        return 1.0 - (queries @ index.latents.T) / denom
-    raise ValueError(f"unknown metric {metric!r}")
+        diff = distinct - queries[:, None, :]
+        return np.square(diff, out=diff).sum(axis=2)
+    dots = (distinct * queries[:, None, :]).sum(axis=2)  # cosine
+    q_norms = np.sqrt(np.square(queries).sum(axis=1))
+    u_norms = np.sqrt(np.square(index._distinct).sum(axis=1))
+    return 1.0 - dots / np.maximum(q_norms[:, None] * u_norms[None, :], 1e-300)
+
+
+def _nearest_rows(index: LatentIndex, dist: np.ndarray, k: int) -> np.ndarray:
+    """(B, k) rows with the k smallest (distance, row) keys, in key order.
+
+    dist holds each query's distances to the distinct latents.  Each distinct
+    latent gets its distance's dense rank (equal distances share a rank), and
+    a row's key is rank * N + row: an exact integer that orders rows by
+    distance, then by row index.
+    """
+    n = len(index)
+    order = np.argsort(dist, axis=1)
+    ranked = np.take_along_axis(dist, order, axis=1)
+    dense = np.zeros(dist.shape, dtype=np.int64)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=dense[:, 1:])
+    rank = np.empty_like(dense)
+    np.put_along_axis(rank, order, dense, axis=1)
+    keys = rank[:, index._row_distinct] * n + np.arange(n)
+    if k < n:
+        keys = np.partition(keys, k - 1, axis=1)[:, :k]
+    keys.sort(axis=1)
+    return keys % n
 
 
 def knn_batch(index: LatentIndex, queries: np.ndarray, k: int,
               metric: str = "l2") -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exact search: (B, k) neighbor indices and distances."""
-    if len(index) == 0:
-        raise RuntimeError("cannot query an empty index")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != index.dim:
-        raise ShapeError(f"query shape {queries.shape} incompatible with index dim {index.dim}")
-    k = min(k, len(index))
-    d2 = _distances_batch(index, queries, metric)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(d2, order, axis=1)
+    """Exact k-nearest rows for each query: (B, k) indices and distances.
 
-
-def knn(index: LatentIndex, query: np.ndarray, k: int, metric: str = "l2") -> QueryResult:
-    """Exact k-nearest rows by squared L2 distance (cosine optional).
-
-    Distances come from the direct form sum((row - query)^2) so they match a
-    brute-force pass bit for bit.  The batched training path (knn_batch) uses
-    the gemm expansion instead; on this package's integer-valued grid latents
-    the two forms are exactly equal, and a regression test pins that.
+    Distances are squared L2 (or cosine distance) in the direct form, the
+    order is ascending distance with ties toward the lowest row index, and
+    row i of the result equals the result of querying queries[i] alone, bit
+    for bit.  Queries go through in chunks of bounded size.
     """
     if len(index) == 0:
         raise RuntimeError("cannot query an empty index")
     if k < 1:
         raise ValueError("k must be >= 1")
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.shape[0] != index.dim:
-        raise ShapeError(f"query shape {query.shape} incompatible with index dim {index.dim}")
-    k = min(k, len(index))
-    if metric == "l2":
-        d2 = np.sum(np.square(index.latents - query), axis=1)
-    elif metric == "cosine":
-        d2 = _distances_batch(index, query[None, :], metric)[0]
-    else:
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    order = np.argsort(d2, kind="stable")[:k]
-    return QueryResult(indices=order, distances=d2[order])
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
+        raise ShapeError(f"query shape {queries.shape} incompatible with index dim {index.dim}")
+    k = min(k, len(index))
+    indices = np.empty((len(queries), k), dtype=np.int64)
+    distances = np.empty((len(queries), k))
+    per_query = max(index._distinct.size, len(index))
+    chunk = max(1, _CHUNK_ELEMENTS // per_query)
+    for lo in range(0, len(queries), chunk):
+        dist = _distinct_distances(index, queries[lo:lo + chunk], metric)
+        rows = _nearest_rows(index, dist, k)
+        indices[lo:lo + chunk] = rows
+        distances[lo:lo + chunk] = np.take_along_axis(dist, index._row_distinct[rows], axis=1)
+    return indices, distances
+
+
+def knn(index: LatentIndex, query: np.ndarray, k: int, metric: str = "l2") -> QueryResult:
+    """Exact k-nearest rows to one query: row 0 of knn_batch on that query."""
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1:
+        raise ShapeError(f"query shape {query.shape} is not a vector")
+    indices, distances = knn_batch(index, query[None, :], k, metric)
+    return QueryResult(indices=indices[0], distances=distances[0])
 
 
 def expert_estimate(index: LatentIndex, result: QueryResult,

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from kickrl import demos, envs
+from kickrl import demos, encoders, envs
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +29,23 @@ def room_store_path(room_store, tmp_path_factory):
     path = tmp_path_factory.mktemp("demos") / "room.demos.jsonl"
     demos.save_demos(room_store, str(path))
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def four_rooms_spec():
+    return envs.make_four_rooms()
+
+
+@pytest.fixture(scope="session")
+def four_rooms_store(four_rooms_spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", demos.DemoBudgetWarning)
+        return demos.generate_demos(four_rooms_spec, expert_noise=0.1, n_traj=40, seed=3)
+
+
+@pytest.fixture(scope="session")
+def four_rooms_vae(four_rooms_spec):
+    """A small VAE trained briefly: its latents are floats, not grid integers."""
+    corpus = encoders.collect_random_observations(four_rooms_spec, 10, seed=0)
+    vae, _ = encoders.train_vae(corpus, 8, encoders.VaeTrainConfig(epochs=3), seed=0)
+    return vae

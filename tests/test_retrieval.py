@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickrl import retrieval
-from kickrl.encoders import IdentityEncoder, StandardizeEncoder
+from kickrl.encoders import IdentityEncoder, StandardizeEncoder, fit_standardizer
 from kickrl.errors import ShapeError
 from kickrl.nets import forward, mlp
 from kickrl.seeding import spawn_rng
@@ -143,6 +143,79 @@ def test_knn_batch_matches_single_queries_on_grid_latents(room_store) -> None:
         single = retrieval.knn(index, query, 8)
         assert list(single.indices) == list(bi[row])
         assert np.array_equal(single.distances, bd[row])
+
+
+# -- knn_batch on float latents -----------------------------------------------------------
+
+
+def assert_batch_equals_brute_force(index: retrieval.LatentIndex, queries: np.ndarray,
+                                    k: int) -> None:
+    """Indices and distances exactly as a direct-form brute force, none negative."""
+    got_idx, got_d = retrieval.knn_batch(index, queries, k)
+    for row, query in enumerate(queries):
+        exp_idx, exp_d = brute_force(index.latents, query, k)
+        assert list(got_idx[row]) == exp_idx, f"query {row}"
+        assert np.array_equal(got_d[row], exp_d), f"query {row}"
+    assert np.all(got_d >= 0.0)
+
+
+def store_queries(index: retrieval.LatentIndex, seed: int, n: int = 200) -> np.ndarray:
+    """Stored latents (exact duplicates of index rows) plus perturbed ones."""
+    rng = np.random.default_rng(seed)
+    rows = index.latents[rng.integers(0, len(index), n)]
+    nudged = rows[: n // 4] + 1e-3 * rng.standard_normal((n // 4, index.dim))
+    return np.concatenate([rows, nudged])
+
+
+def test_knn_batch_equals_brute_force_on_vae_latents(four_rooms_store, four_rooms_vae) -> None:
+    index = retrieval.build_index(four_rooms_store, four_rooms_vae)
+    assert len(index._distinct) < len(index)  # duplicated float rows
+    assert_batch_equals_brute_force(index, store_queries(index, 0), 8)
+
+
+@pytest.mark.parametrize("store_name", ["room_store", "four_rooms_store"])
+def test_knn_batch_equals_brute_force_on_standardize_latents(store_name, request) -> None:
+    store = request.getfixturevalue(store_name)
+    observations = np.stack([tr.obs for tr in store.transitions()])
+    index = retrieval.build_index(store, fit_standardizer(observations))
+    assert_batch_equals_brute_force(index, store_queries(index, 1), 8)
+
+
+@pytest.mark.parametrize("k", [1, 8, 32, 200])
+def test_knn_batch_equals_brute_force_on_duplicated_float_rows(k: int) -> None:
+    rng = np.random.default_rng(2)
+    distinct = rng.standard_normal((10, 5)) * 3.7
+    latents = distinct[rng.integers(0, 10, 200)]
+    index = retrieval.LatentIndex(latents, rng.integers(0, 4, 200), np.zeros(200),
+                                  [(0, i) for i in range(200)], "e", "env", 4)
+    queries = np.concatenate([distinct, rng.standard_normal((20, 5))])
+    assert_batch_equals_brute_force(index, queries, k)
+
+
+def test_knn_batch_row_equals_the_query_alone_bitwise(four_rooms_store, four_rooms_vae) -> None:
+    index = retrieval.build_index(four_rooms_store, four_rooms_vae)
+    queries = np.random.default_rng(3).permutation(store_queries(index, 3))
+    for metric in retrieval.METRICS:
+        bi, bd = retrieval.knn_batch(index, queries, 8, metric)
+        for i in range(len(queries)):
+            si, sd = retrieval.knn_batch(index, queries[i:i + 1], 8, metric)
+            assert np.array_equal(bi[i], si[0])
+            assert np.array_equal(bd[i], sd[0])
+
+
+def test_cosine_duplicate_rows_share_a_distance_and_tie_by_row() -> None:
+    rng = np.random.default_rng(4)
+    distinct = rng.standard_normal((6, 3))
+    which = rng.integers(0, 6, 60)
+    index = retrieval.LatentIndex(distinct[which], np.zeros(60, dtype=int), np.zeros(60),
+                                  [(0, i) for i in range(60)], "e", "env", 1)
+    for query in np.concatenate([distinct, rng.standard_normal((5, 3))]):
+        cos = 1.0 - distinct @ query / (np.linalg.norm(distinct, axis=1) * np.linalg.norm(query))
+        res = retrieval.knn(index, query, 60, metric="cosine")
+        assert list(res.indices) == sorted(range(60), key=lambda i: (cos[which[i]], i))
+        assert np.allclose(res.distances, cos[which[res.indices]], atol=1e-12)
+        for latent in range(6):  # every copy of a latent gets the same distance
+            assert len(set(res.distances[which[res.indices] == latent])) <= 1
 
 
 def test_cosine_metric_orders_by_angle() -> None:
