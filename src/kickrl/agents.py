@@ -22,17 +22,14 @@ import numpy as np
 
 from .demos import Transition
 from .nets import AdamState, DenseNet, adam_step, backward, forward, mlp, soft_update
-from .retrieval import LatentIndex, expert_estimate, knn, knn_batch
+from .retrieval import LatentIndex, expert_estimate, knn, knn_batch, neighbor_action_counts
 from .seeding import spawn_rng
 
-AGENT_KINDS = ("cdql", "cdql-ae", "qdagger", "awac", "her", "bc")
 AE_MODES = ("target-shaping", "q-regression", "kl-penalty")
 
 REFERENCE_TOTAL_STEPS = 2_500_000  # step scale the published budgets assume
 WEIGHT_CAP = float(np.exp(20.0))
 PROB_FLOOR = 1e-12
-
-KINDS_NEEDING_DEMOS = ("cdql-ae", "qdagger", "awac", "bc")
 
 
 @dataclass
@@ -49,7 +46,6 @@ class Hyperparams:
     train_frequency: int = 4
     k_neighbors: int = 8
     ae_mode: str = "target-shaping"
-    twin_critic: bool = False
     learning_rate: float = 1e-4
     hidden: tuple[int, ...] = (256, 256)
     teacher_steps: int = 125_000
@@ -181,6 +177,10 @@ class ArrayBatch:
             terminated=np.asarray([float(tr.terminated) for tr in transitions]),
             truncated=np.asarray([float(tr.truncated) for tr in transitions]),
         )
+
+    def take(self, idx: np.ndarray) -> "ArrayBatch":
+        """The rows idx of this batch, as a new batch."""
+        return ArrayBatch(**{name: values[idx] for name, values in vars(self).items()})
 
 
 # -- temporal-difference core -------------------------------------------------
@@ -431,59 +431,84 @@ def discounted_return(rewards, gamma: float) -> float:
 # -- learners -----------------------------------------------------------------------
 
 
-class QLearner:
-    """Value learner: one online net plus a target net (optionally twins)."""
+class Learner:
+    """What the training loop asks of an agent kind; the loop never branches
+    on the kind itself.
+
+    * ``phase(tick)``: ``"teacher-collect"`` (a teacher acts, nothing trains),
+      ``"offline-distill"`` (train on replay), ``"offline"`` (train on the
+      demo store) or ``"online"`` (act, then train on replay);
+    * ``head``: the attribute holding the net that acts greedily and heads
+      the snapshot; ``saved`` names every net the snapshot stores;
+    * ``explores``: acts on the epsilon schedule, which the CSV then logs;
+    * ``needs_demos`` / ``needs_index`` / ``needs_teacher``: the run loads the
+      demo store / builds a retrieval index over it / clones a teacher from it;
+    * ``preloads_demos``: the demo store fills replay before the first step;
+    * ``relabels``: replay batches gain hindsight-relabeled successes;
+    * ``keeps_best``: the run ends on the parameters of its best evaluation.
+    """
+
+    kind: str
+    head: str
+    saved: tuple[str, ...]
+    explores = False
+    needs_demos = needs_index = needs_teacher = False
+    preloads_demos = relabels = keeps_best = False
+
+    def phase(self, tick: int) -> str:
+        return "online"
+
+    @property
+    def head_net(self) -> DenseNet:
+        return getattr(self, self.head)
+
+    def greedy(self, latent: np.ndarray) -> int:
+        return greedy_action(self.head_net, latent)
+
+    def update_targets(self) -> None:  # no target net
+        pass
+
+    def param_snapshot(self) -> dict[str, np.ndarray]:
+        named = {}
+        for name in self.saved:
+            net = getattr(self, name)
+            named.update(zip((f"{name}.{n}" for n in net.param_names()), net.param_arrays()))
+        return named
+
+
+class QLearner(Learner):
+    """Value learner: one online net plus a target net."""
 
     kind = "cdql"
+    head = "q"
+    saved = ("q",)
+    explores = True
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams, seed: int):
         self.hp = hp
         self.q = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "q1"))
         self.q_target = self.q.copy()
         self.opt = AdamState.for_params(self.q.param_arrays(), hp.learning_rate)
-        self.q2 = self.q2_target = self.opt2 = None
-        if hp.twin_critic:
-            self.q2 = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "q2"))
-            self.q2_target = self.q2.copy()
-            self.opt2 = AdamState.for_params(self.q2.param_arrays(), hp.learning_rate)
 
     def act(self, latent: np.ndarray, eps: float, rng: np.random.Generator) -> int:
         return act_eps_greedy(self.q, latent, eps, rng)
 
-    def greedy(self, latent: np.ndarray) -> int:
-        return greedy_action(self.q, latent)
-
     def compute_targets(self, batch: ArrayBatch) -> np.ndarray:
-        if self.q2_target is None:
-            return clipped_target(batch, self.q, self.q_target, self.hp.gamma)
-        next_online = forward(self.q, batch.next_latents).final
-        a_star = np.argmax(next_online, axis=1)
-        rows = np.arange(len(batch))
-        b1 = forward(self.q_target, batch.next_latents).final[rows, a_star]
-        b2 = forward(self.q2_target, batch.next_latents).final[rows, a_star]
-        boot = self.hp.gamma * np.minimum(b1, b2) * (1.0 - batch.terminated)
-        return batch.rewards + boot
-
-    def _train_second_critic(self, batch: ArrayBatch, targets: np.ndarray) -> float | None:
-        if self.q2 is None:
-            return None
-        return td_step(batch, targets, self.q2, self.opt2)
+        return clipped_target(batch, self.q, self.q_target, self.hp.gamma)
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
-        targets = self.compute_targets(batch)
-        td = td_step(batch, targets, self.q, self.opt)
-        td2 = self._train_second_critic(batch, targets)
-        if td2 is not None:
-            td = (td + td2) / 2.0
+        td = td_step(batch, self.compute_targets(batch), self.q, self.opt)
         return LossBreakdown(td=td, total=td)
 
     def update_targets(self) -> None:
         soft_update(self.q_target, self.q, self.hp.tau)
-        if self.q2 is not None:
-            soft_update(self.q2_target, self.q2, self.hp.tau)
 
-    def param_snapshot(self) -> dict[str, np.ndarray]:
-        return dict(zip((f"q.{n}" for n in self.q.param_names()), self.q.param_arrays()))
+
+class HerLearner(QLearner):
+    """cdql on replay batches extended with hindsight-relabeled successes."""
+
+    kind = "her"
+    relabels = True
 
 
 class AdversarialKickstartLearner(QLearner):
@@ -498,6 +523,7 @@ class AdversarialKickstartLearner(QLearner):
     """
 
     kind = "cdql-ae"
+    needs_demos = needs_index = True
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams,
                  seed: int, index: LatentIndex):
@@ -540,13 +566,6 @@ class AdversarialKickstartLearner(QLearner):
     def z_for_batch(self, batch: ArrayBatch, neighbor_idx: np.ndarray) -> np.ndarray:
         return self._demo_q[neighbor_idx].mean(axis=1) - batch.rewards
 
-    def _search_probs(self, neighbor_idx: np.ndarray) -> np.ndarray:
-        counts = np.zeros((neighbor_idx.shape[0], self.index.action_count))
-        np.add.at(counts, (np.repeat(np.arange(neighbor_idx.shape[0]),
-                                     neighbor_idx.shape[1]),
-                           self.index.actions[neighbor_idx].ravel()), 1.0)
-        return counts / neighbor_idx.shape[1]
-
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
         if self.hp.lam == 0.0:
             return super().train_batch(batch)  # disabled penalty
@@ -556,9 +575,6 @@ class AdversarialKickstartLearner(QLearner):
             app = ae_apply(batch, z, self.hp.lam, "target-shaping",
                            self.q, self.q_target, self.hp.gamma)
             td = td_step(batch, app.targets, self.q, self.opt)
-            td2 = self._train_second_critic(batch, app.targets)
-            if td2 is not None:
-                td = (td + td2) / 2.0
             return LossBreakdown(td=td, ae=float(z.mean()), total=td)
 
         targets = self.compute_targets(batch)
@@ -566,7 +582,8 @@ class AdversarialKickstartLearner(QLearner):
         td_loss, td_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
         kwargs = {"q_values": acts.final}
         if self.hp.ae_mode == "kl-penalty":
-            kwargs["search_probs"] = self._search_probs(neighbor_idx)
+            counts = neighbor_action_counts(self.index, neighbor_idx)
+            kwargs["search_probs"] = counts / neighbor_idx.shape[1]
         app = ae_apply(batch, z, self.hp.lam, self.hp.ae_mode,
                        self.q, self.q_target, self.hp.gamma, **kwargs)
         total = td_loss + app.penalty_loss
@@ -574,7 +591,6 @@ class AdversarialKickstartLearner(QLearner):
             raise FloatingPointError(f"non-finite loss {total}: step rejected")
         grads, _ = backward(self.q, acts, td_rows + app.penalty_grad_rows)
         adam_step(self.q.param_arrays(), grads, self.opt)
-        self._train_second_critic(batch, targets)
         return LossBreakdown(td=td_loss, ae=float(z.mean()), total=total)
 
 
@@ -582,11 +598,15 @@ class QDaggerLearner(QLearner):
     """Value learner with a distillation pull toward a cloned teacher."""
 
     kind = "qdagger"
+    needs_demos = needs_teacher = True
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams,
                  seed: int, teacher: DenseNet):
         super().__init__(latent_dim, n_actions, hp, seed)
         self.teacher = teacher
+
+    def phase(self, tick: int) -> str:
+        return qdagger_schedule(tick, self.hp)
 
     def teacher_probs(self, latents: np.ndarray) -> np.ndarray:
         return softmax(forward(self.teacher, latents).final)
@@ -606,14 +626,16 @@ class QDaggerLearner(QLearner):
             raise FloatingPointError(f"non-finite loss {total}: step rejected")
         grads, _ = backward(self.q, acts, td_rows + self.hp.lam * d_rows)
         adam_step(self.q.param_arrays(), grads, self.opt)
-        self._train_second_critic(batch, targets)
         return LossBreakdown(td=td_loss, distill=d_value, total=total)
 
 
-class AwacLearner:
+class AwacLearner(Learner):
     """Discrete actor-critic with advantage-weighted policy regression."""
 
     kind = "awac"
+    head = "actor"
+    saved = ("actor", "critic")
+    needs_demos = preloads_demos = True
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams, seed: int):
         self.hp = hp
@@ -623,13 +645,13 @@ class AwacLearner:
         self.actor_opt = AdamState.for_params(self.actor.param_arrays(), hp.learning_rate)
         self.critic_opt = AdamState.for_params(self.critic.param_arrays(), hp.learning_rate)
 
+    def phase(self, tick: int) -> str:
+        return "offline" if tick < self.hp.offline_steps else "online"
+
     def act(self, latent: np.ndarray, eps: float, rng: np.random.Generator) -> int:
         # policy-head sampling; the eps argument is ignored by design
         probs = softmax(forward(self.actor, latent[None, :]).final)[0]
         return int(rng.choice(len(probs), p=probs))
-
-    def greedy(self, latent: np.ndarray) -> int:
-        return greedy_action(self.actor, latent)
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
         return awac_update(batch, self.actor, self.critic, self.critic_target,
@@ -639,37 +661,34 @@ class AwacLearner:
     def update_targets(self) -> None:
         soft_update(self.critic_target, self.critic, self.hp.tau)
 
-    def param_snapshot(self) -> dict[str, np.ndarray]:
-        named = dict(zip((f"actor.{n}" for n in self.actor.param_names()),
-                         self.actor.param_arrays()))
-        named.update(zip((f"critic.{n}" for n in self.critic.param_names()),
-                         self.critic.param_arrays()))
-        return named
 
-
-class BCLearner:
+class BCLearner(Learner):
     """Supervised action prediction on demonstration batches."""
 
     kind = "bc"
+    head = "policy"
+    saved = ("policy",)
+    needs_demos = keeps_best = True
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams, seed: int):
         self.hp = hp
         self.policy = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "policy"))
         self.opt = AdamState.for_params(self.policy.param_arrays(), hp.learning_rate)
 
+    def phase(self, tick: int) -> str:
+        return "offline"
+
     def act(self, latent: np.ndarray, eps: float, rng: np.random.Generator) -> int:
         return greedy_action(self.policy, latent)  # argmax; no exploration head
-
-    def greedy(self, latent: np.ndarray) -> int:
-        return greedy_action(self.policy, latent)
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
         loss = bc_update(batch, self.policy, self.opt)
         return LossBreakdown(actor=loss, total=loss)
 
-    def update_targets(self) -> None:  # no target net
-        pass
 
-    def param_snapshot(self) -> dict[str, np.ndarray]:
-        return dict(zip((f"policy.{n}" for n in self.policy.param_names()),
-                        self.policy.param_arrays()))
+LEARNERS: dict[str, type[Learner]] = {
+    cls.kind: cls for cls in (QLearner, AdversarialKickstartLearner, QDaggerLearner,
+                              AwacLearner, HerLearner, BCLearner)
+}
+AGENT_KINDS = tuple(LEARNERS)
+KINDS_NEEDING_DEMOS = tuple(kind for kind, cls in LEARNERS.items() if cls.needs_demos)

@@ -9,10 +9,6 @@ import argparse
 import os
 import sys
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-from . import envs
 from .config import load_config
 from .demos import generate_demos, save_demos
 from .encoders import (
@@ -24,6 +20,7 @@ from .encoders import (
 )
 from .errors import ConfigError
 from .harness import (
+    build_spec,
     compare_runs,
     discover_runs,
     evaluate,
@@ -46,17 +43,8 @@ def _env_options(pairs: list[str]) -> dict:
     return out
 
 
-def _build_spec(name: str, options: dict):
-    if name not in envs.PRESETS:
-        raise ConfigError(f"unknown env {name!r} (choose from {sorted(envs.PRESETS)})")
-    try:
-        return envs.PRESETS[name](**options)
-    except TypeError as exc:
-        raise ConfigError(f"bad env option: {exc}") from None
-
-
 def _cmd_collect_demos(args) -> int:
-    spec = _build_spec(args.env, _env_options(args.env_opt))
+    spec = build_spec(args.env, _env_options(args.env_opt))
     store = generate_demos(spec, expert_noise=args.noise, n_traj=args.n_traj,
                            seed=args.seed)
     save_demos(store, args.out)
@@ -66,7 +54,7 @@ def _cmd_collect_demos(args) -> int:
 
 
 def _cmd_train_encoder(args) -> int:
-    spec = _build_spec(args.env, _env_options(args.env_opt))
+    spec = build_spec(args.env, _env_options(args.env_opt))
     corpus = collect_random_observations(spec, n_traj=args.n_traj, seed=args.seed)
     if args.kind == "standardize":
         enc = fit_standardizer(corpus)
@@ -103,7 +91,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     action_fn, meta = load_policy_snapshot(args.snapshot)
-    spec = _build_spec(args.env, _env_options(args.env_opt))
+    spec = build_spec(args.env, _env_options(args.env_opt))
     if meta.get("env_id") != spec.env_id:
         print(f"note: snapshot was trained on {meta.get('env_id')}, "
               f"evaluating on {spec.env_id}", file=sys.stderr)

@@ -36,19 +36,8 @@ _ENV_KEY_TYPES = {
 _HP_ALIASES = {"lambda": "lam"}  # `lambda` is the natural config spelling
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _coerce(raw: str, target_type, key: str):
     try:
-        if target_type is bool:
-            return _parse_bool(raw)
         if target_type is int:
             return int(raw)
         if target_type is float:

@@ -22,20 +22,13 @@ import numpy as np
 
 from . import envs
 from .agents import (
-    AGENT_KINDS,
-    KINDS_NEEDING_DEMOS,
-    AdversarialKickstartLearner,
+    LEARNERS,
     ArrayBatch,
-    AwacLearner,
-    BCLearner,
     Hyperparams,
     LossBreakdown,
-    QDaggerLearner,
-    QLearner,
     bc_update,
     eps_at,
     greedy_action,
-    qdagger_schedule,
     her_augment,
 )
 from .demos import Transition, load_demos
@@ -113,21 +106,18 @@ class RunConfig:
         return max(1, self.total_steps // 100)
 
     def build_spec(self) -> GridWorldSpec:
-        if self.env_name not in PRESETS:
-            raise ConfigError(f"unknown env {self.env_name!r}")
-        try:
-            return PRESETS[self.env_name](**self.env_options)
-        except TypeError as exc:
-            raise ConfigError(f"bad env option: {exc}") from None
+        return build_spec(self.env_name, self.env_options)
 
     def validate(self) -> None:
-        if self.agent not in AGENT_KINDS:
+        if self.agent not in LEARNERS:
             raise ConfigError(f"unknown agent kind {self.agent!r}")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
+        if self.eval_cadence is not None and self.eval_cadence < 1:
+            raise ConfigError("eval_cadence must be >= 1")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes must be >= 1")
-        if self.agent in KINDS_NEEDING_DEMOS:
+        if LEARNERS[self.agent].needs_demos:
             if not self.demo_path:
                 raise ConfigError(f"agent {self.agent!r} requires a demo store")
             if not os.path.exists(self.demo_path):
@@ -142,6 +132,15 @@ class RunConfig:
         out = asdict(self)
         out["hp"]["hidden"] = list(out["hp"]["hidden"])
         return out
+
+
+def build_spec(name: str, options: dict) -> GridWorldSpec:
+    if name not in PRESETS:
+        raise ConfigError(f"unknown env {name!r} (choose from {sorted(PRESETS)})")
+    try:
+        return PRESETS[name](**options)
+    except TypeError as exc:
+        raise ConfigError(f"bad env option: {exc}") from None
 
 
 def build_encoder(spec: GridWorldSpec, encoder_spec: str) -> Encoder:
@@ -262,24 +261,16 @@ def train_bc_policy(store, spec: GridWorldSpec, encoder: Encoder, hp: Hyperparam
     """Clone the demonstrations, evaluating periodically and keeping the
     snapshot with the highest mean reward.  Uses its own learning rate (3e-4);
     the cloning problem is supervised and converges faster than TD."""
-    transitions = list(store.transitions())
-    latents = encoder.encode_batch(np.stack([tr.obs for tr in transitions]))
-    actions = np.asarray([tr.action for tr in transitions], dtype=np.int64)
-    policy = mlp(latents.shape[1], store.action_count, hp.hidden,
+    demo = ArrayBatch.from_transitions(list(store.transitions()), encoder)
+    policy = mlp(demo.latents.shape[1], store.action_count, hp.hidden,
                  spawn_rng(seed, "init", "teacher"))
     opt = AdamState.for_params(policy.param_arrays(), TEACHER_BC_LEARNING_RATE)
     batch_rng = spawn_rng(seed, "teacher-bc")
     best_score = -math.inf
     best_params = [p.copy() for p in policy.param_arrays()]
-    zeros = np.zeros((hp.batch_size, latents.shape[1]))
     for step_i in range(1, steps + 1):
-        idx = batch_rng.integers(0, len(transitions), size=hp.batch_size)
-        batch = ArrayBatch(
-            latents=latents[idx], actions=actions[idx],
-            rewards=np.zeros(len(idx)), next_latents=zeros[: len(idx)],
-            terminated=np.zeros(len(idx)), truncated=np.zeros(len(idx)),
-        )
-        bc_update(batch, policy, opt)
+        bc_update(demo.take(batch_rng.integers(0, len(demo), size=hp.batch_size)),
+                  policy, opt)
         if step_i % eval_every == 0 or step_i == steps:
             result = evaluate(
                 lambda obs: greedy_action(policy, encoder.encode(obs)),
@@ -296,41 +287,14 @@ def train_bc_policy(store, spec: GridWorldSpec, encoder: Encoder, hp: Hyperparam
 # -- the training loop -----------------------------------------------------------
 
 
-def _build_learner(cfg: RunConfig, spec: GridWorldSpec, encoder: Encoder,
-                   store, index):
-    latent_dim = encoder.latent_dim
-    n_actions = spec.action_count
-    if cfg.agent in ("cdql", "her"):
-        return QLearner(latent_dim, n_actions, cfg.hp, cfg.seed)
-    if cfg.agent == "cdql-ae":
-        return AdversarialKickstartLearner(latent_dim, n_actions, cfg.hp,
-                                           cfg.seed, index)
-    if cfg.agent == "qdagger":
-        teacher = train_bc_policy(store, spec, encoder, cfg.hp, cfg.seed,
-                                  eval_episodes=cfg.eval_episodes)
-        return QDaggerLearner(latent_dim, n_actions, cfg.hp, cfg.seed, teacher)
-    if cfg.agent == "awac":
-        return AwacLearner(latent_dim, n_actions, cfg.hp, cfg.seed)
-    if cfg.agent == "bc":
-        return BCLearner(latent_dim, n_actions, cfg.hp, cfg.seed)
-    raise ConfigError(f"unknown agent kind {cfg.agent!r}")
-
-
-def _phase_of(cfg: RunConfig, tick: int) -> str:
-    if cfg.agent == "qdagger":
-        return qdagger_schedule(tick, cfg.hp)
-    if cfg.agent == "awac":
-        return "offline" if tick < cfg.hp.offline_steps else "online"
-    if cfg.agent == "bc":
-        return "offline"
-    return "online"
-
-
 def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     """Execute one seeded training run and write its artifacts.
 
     Writes ``metrics.csv`` (bitwise-deterministic), ``summary.json``
     (includes wall-clock times), and a parameter snapshot into cfg.out_dir.
+    The loop is the same for every agent kind: the learner's attributes
+    (see agents.Learner) say what to load, how each tick trains, and which
+    parameters to keep.
     """
     t_start = time.perf_counter()
     cfg.validate()
@@ -338,8 +302,10 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     hp = cfg.hp
     encoder = build_encoder(spec, cfg.encoder_spec)  # shared by agent, index, eval
 
-    store = index = None
-    if cfg.agent in KINDS_NEEDING_DEMOS:
+    learner_cls = LEARNERS[cfg.agent]
+    store = None
+    resources = {}
+    if learner_cls.needs_demos:
         store = load_demos(cfg.demo_path)
         if store.obs_dim != spec.obs_dim:
             raise ConfigError(
@@ -347,25 +313,17 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
         if store.action_count != spec.action_count:
             raise ConfigError(
                 f"demo action_count {store.action_count} != env {spec.action_count}")
-        if cfg.agent == "cdql-ae":
-            index = build_index(store, encoder)
-
-    learner = _build_learner(cfg, spec, encoder, store, index)
+    if learner_cls.needs_index:
+        resources["index"] = build_index(store, encoder)
+    if learner_cls.needs_teacher:
+        resources["teacher"] = train_bc_policy(store, spec, encoder, hp, cfg.seed,
+                                               eval_episodes=cfg.eval_episodes)
+    learner = learner_cls(encoder.latent_dim, spec.action_count, hp, cfg.seed, **resources)
     buffer = ReplayBuffer(hp.buffer_capacity)
-    demo_transitions = list(store.transitions()) if store is not None else []
-    demo_latents = None
-    if cfg.agent in ("awac", "bc") and demo_transitions:
-        demo_latents = encoder.encode_batch(
-            np.stack([tr.obs for tr in demo_transitions]))
-        demo_next_latents = encoder.encode_batch(
-            np.stack([tr.next_obs for tr in demo_transitions]))
-        demo_actions = np.asarray([tr.action for tr in demo_transitions], dtype=np.int64)
-        demo_rewards = np.asarray([tr.reward for tr in demo_transitions])
-        demo_terminated = np.asarray([float(tr.terminated) for tr in demo_transitions])
-        demo_truncated = np.asarray([float(tr.truncated) for tr in demo_transitions])
-    if cfg.agent == "awac":
-        for tr in demo_transitions:  # preload: replay mixes demos and fresh data
+    if learner.preloads_demos:
+        for tr in store.transitions():  # replay mixes demos and fresh data
             buffer.push(tr)
+    demo: ArrayBatch | None = None  # the demo store as one batch, built when first needed
 
     act_rng = spawn_rng(cfg.seed, "act")
     replay_rng = spawn_rng(cfg.seed, "replay")
@@ -375,30 +333,38 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     env = GridEnv(spec)
     episode_idx = 0
     obs = None
+    interaction_steps = 0
 
-    def start_episode():
-        nonlocal episode_idx, obs
-        _, obs = env.reset(spawn_seed(cfg.seed, "episode", episode_idx))
-        episode_idx += 1
+    def env_step(action_of) -> None:
+        """One env step by action_of(latent), pushed to replay."""
+        nonlocal episode_idx, obs, interaction_steps
+        if obs is None or env.state.done:
+            _, obs = env.reset(spawn_seed(cfg.seed, "episode", episode_idx))
+            episode_idx += 1
+        action = action_of(encoder.encode(obs))
+        res = env.step(action)
+        buffer.push(Transition(
+            obs=obs, action=action, reward=res.reward,
+            next_obs=res.observation, terminated=res.terminated,
+            truncated=res.truncated, t=env.state.t - 1,
+        ))
+        obs = res.observation
+        interaction_steps += 1
 
-    def offline_demo_batch() -> ArrayBatch:
-        idx = offline_rng.integers(0, len(demo_transitions), size=hp.batch_size)
-        return ArrayBatch(
-            latents=demo_latents[idx], actions=demo_actions[idx],
-            rewards=demo_rewards[idx], next_latents=demo_next_latents[idx],
-            terminated=demo_terminated[idx], truncated=demo_truncated[idx],
-        )
+    def replay_batch() -> ArrayBatch:
+        sampled = replay_sample(buffer, hp.batch_size, replay_rng)
+        if learner.relabels:
+            sampled = her_augment(sampled, buffer, hp.her_extra, her_rng)
+        return ArrayBatch.from_transitions(sampled, encoder)
 
     cadence = cfg.resolved_cadence
     rows: list[MetricRow] = []
     last_losses: LossBreakdown | None = None
     grad_steps = 0
-    interaction_steps = 0
     online_steps = 0
     online_warmup: int | None = None
     prev_phase: str | None = None
-    best_bc: tuple[float, list[np.ndarray]] | None = None
-    uses_epsilon = cfg.agent in ("cdql", "cdql-ae", "qdagger", "her")
+    best: tuple[float, list[np.ndarray]] | None = None
 
     total = cfg.total_steps
     for tick in range(total + 1):
@@ -407,81 +373,56 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
                 lambda o: learner.greedy(encoder.encode(o)),
                 spec, cfg.eval_episodes, spawn_seed(cfg.seed, "eval", tick),
             )
-            row = MetricRow(
+            rows.append(MetricRow(
                 step=tick,
                 mean_return=result.mean_return,
                 std_return=result.std_return,
                 success_rate=result.success_rate,
-                epsilon=eps_at(tick, total, hp) if uses_epsilon else None,
+                epsilon=eps_at(tick, total, hp) if learner.explores else None,
                 losses=last_losses,
                 wall_secs=time.perf_counter() - t_start,
-            )
-            rows.append(row)
+            ))
             if verbose:
                 print(f"[{cfg.agent} seed={cfg.seed}] step {tick}: "
                       f"mean_return={result.mean_return:.3f} "
                       f"success={result.success_rate:.2f}")
-            if cfg.agent == "bc" and (best_bc is None or
-                                      result.mean_return > best_bc[0]):
-                best_bc = (result.mean_return,
-                           [p.copy() for p in learner.policy.param_arrays()])
+            if learner.keeps_best and (best is None or result.mean_return > best[0]):
+                best = (result.mean_return,
+                        [p.copy() for p in learner.head_net.param_arrays()])
         if tick == total:
             break
 
-        phase = _phase_of(cfg, tick)
+        phase = learner.phase(tick)
         if phase == "online" and prev_phase not in (None, "online"):
             obs = None  # the student starts on a fresh episode, not mid-rollout
         prev_phase = phase
+        batch = None
         if phase == "teacher-collect":
-            if obs is None or env.state.done:
-                start_episode()
-            action = learner.teacher_action(encoder.encode(obs))
-            res = env.step(action)
-            buffer.push(Transition(
-                obs=obs, action=action, reward=res.reward,
-                next_obs=res.observation, terminated=res.terminated,
-                truncated=res.truncated, t=env.state.t - 1,
-            ))
-            obs = res.observation
-            interaction_steps += 1
-        elif phase in ("offline", "offline-distill"):
-            if phase == "offline-distill":
-                batch = ArrayBatch.from_transitions(
-                    replay_sample(buffer, hp.batch_size, replay_rng), encoder)
-            else:
-                batch = offline_demo_batch()
-            last_losses = learner.train_batch(batch)
-            grad_steps += 1
+            env_step(learner.teacher_action)
+        elif phase == "offline-distill":
+            batch = replay_batch()
+        elif phase == "offline":
+            if demo is None:
+                demo = ArrayBatch.from_transitions(list(store.transitions()), encoder)
+            batch = demo.take(offline_rng.integers(0, len(demo), size=hp.batch_size))
         else:  # online interaction
-            if obs is None or env.state.done:
-                start_episode()
-            eps = eps_at(tick, total, hp) if uses_epsilon else 0.0
-            action = learner.act(encoder.encode(obs), eps, act_rng)
-            res = env.step(action)
-            buffer.push(Transition(
-                obs=obs, action=action, reward=res.reward,
-                next_obs=res.observation, terminated=res.terminated,
-                truncated=res.truncated, t=env.state.t - 1,
-            ))
-            obs = res.observation
-            interaction_steps += 1
+            eps = eps_at(tick, total, hp) if learner.explores else 0.0
+            env_step(lambda latent: learner.act(latent, eps, act_rng))
             online_steps += 1
             if online_warmup is None:
                 online_warmup = max(0, hp.batch_size - (len(buffer) - 1))
             if (online_steps > online_warmup
                     and (online_steps - online_warmup) % hp.train_frequency == 0):
-                sampled = replay_sample(buffer, hp.batch_size, replay_rng)
-                if cfg.agent == "her":
-                    sampled = her_augment(sampled, buffer, hp.her_extra, her_rng)
-                batch = ArrayBatch.from_transitions(sampled, encoder)
-                last_losses = learner.train_batch(batch)
-                grad_steps += 1
+                batch = replay_batch()
+        if batch is not None:
+            last_losses = learner.train_batch(batch)
+            grad_steps += 1
         if (tick + 1) % hp.target_update_period == 0:
             learner.update_targets()
 
-    if cfg.agent == "bc" and best_bc is not None:
-        for p, best in zip(learner.policy.param_arrays(), best_bc[1]):
-            p[...] = best  # final snapshot = best-mean-reward policy
+    if best is not None:
+        for p, kept in zip(learner.head_net.param_arrays(), best[1]):
+            p[...] = kept  # final snapshot = best-evaluation parameters
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     snapshot_path = os.path.join(cfg.out_dir, "params.snapshot.jsonl")
@@ -541,19 +482,14 @@ def _write_summary(record: RunRecord, path: str) -> None:
 def save_policy_snapshot(path: str, learner, encoder: Encoder,
                          spec: GridWorldSpec) -> None:
     arrays = dict(learner.param_snapshot())
-    head = {"cdql": "q", "cdql-ae": "q", "qdagger": "q", "her": "q",
-            "awac": "actor", "bc": "policy"}[learner.kind]
-    head_net = {"q": getattr(learner, "q", None),
-                "actor": getattr(learner, "actor", None),
-                "policy": getattr(learner, "policy", None)}[head]
     enc_arrays, enc_meta = encoder_to_arrays(encoder)
     for name, arr in enc_arrays.items():
         arrays[f"encoder.{name}"] = arr
     meta = {
         "agent": learner.kind,
         "env_id": spec.env_id,
-        "head": head,
-        "head_activations": [l.activation for l in head_net.layers],
+        "head": learner.head,
+        "head_activations": [l.activation for l in learner.head_net.layers],
         "encoder": enc_meta,
     }
     save_arrays(path, arrays, meta=meta)
@@ -575,8 +511,6 @@ def load_policy_snapshot(path: str):
                   if name.startswith("encoder.")}
     encoder = encoder_from_arrays(enc_arrays, meta["encoder"])
 
-    from .agents import greedy_action
-
     def action_fn(obs: np.ndarray) -> int:
         return greedy_action(net, encoder.encode(obs))
 
@@ -584,10 +518,6 @@ def load_policy_snapshot(path: str):
 
 
 # -- multi-seed orchestration -------------------------------------------------------
-
-
-def _run_worker(cfg: RunConfig) -> RunRecord:
-    return train_run(cfg)
 
 
 def run_seeds(cfg: RunConfig, seeds: list[int], parallelism: int = 1,
@@ -601,7 +531,7 @@ def run_seeds(cfg: RunConfig, seeds: list[int], parallelism: int = 1,
     if parallelism <= 1 or len(configs) == 1:
         return [train_run(c, verbose=verbose) for c in configs]
     with multiprocessing.get_context("fork").Pool(min(parallelism, len(configs))) as pool:
-        return pool.map(_run_worker, configs)
+        return pool.map(train_run, configs)
 
 
 # -- reporting ---------------------------------------------------------------------
@@ -614,16 +544,6 @@ class RunSummary:
     seed: int
     steps: list[int]
     mean_returns: list[float]
-
-
-def summary_from_record(record: RunRecord) -> RunSummary:
-    return RunSummary(
-        env_id=record.env_id,
-        agent=record.agent,
-        seed=record.seed,
-        steps=[r.step for r in record.rows],
-        mean_returns=[r.mean_return for r in record.rows],
-    )
 
 
 def load_run(run_dir: str) -> RunSummary:

@@ -188,15 +188,19 @@ def expert_estimate(index: LatentIndex, result: QueryResult,
     return total / len(result.indices)
 
 
+def neighbor_action_counts(index: LatentIndex, neighbor_idx: np.ndarray) -> np.ndarray:
+    """(B, K) counts of each stored action among each row's (B, k) neighbours."""
+    b, n_actions = neighbor_idx.shape[0], index.action_count
+    flat = (np.arange(b)[:, None] * n_actions + index.actions[neighbor_idx]).ravel()
+    return np.bincount(flat, minlength=b * n_actions).reshape(b, n_actions)
+
+
 def search_policy(index: LatentIndex, query: np.ndarray, k: int,
                   metric: str = "l2") -> SearchPolicyResult:
     """Empirical action distribution of the k nearest stored transitions."""
     result = knn(index, query, k, metric=metric)
-    counts = np.bincount(index.actions[result.indices], minlength=index.action_count)
-    return SearchPolicyResult(
-        probs=counts / counts.sum(),
-        counts=counts,
-    )
+    counts = neighbor_action_counts(index, result.indices[None, :])[0]
+    return SearchPolicyResult(probs=counts / counts.sum(), counts=counts)
 
 
 @dataclass

@@ -15,7 +15,10 @@ from kickrl import agents, demos, encoders, harness, retrieval
 class GemmArgsortLearner(agents.AdversarialKickstartLearner):
     """Oracle: no memo; |q|^2 - 2 q.x + |x|^2 to every row, then a stable argsort."""
 
+    calls = 0
+
     def _neighbors(self, batch: agents.ArrayBatch) -> np.ndarray:
+        type(self).calls += 1
         rows, queries = self.index.latents, batch.latents
         d2 = (np.einsum("ij,ij->i", queries, queries)[:, None] - 2.0 * (queries @ rows.T)
               + np.einsum("ij,ij->i", rows, rows)[None, :])
@@ -41,9 +44,11 @@ def metrics_bytes(record: harness.RunRecord) -> bytes:
 def test_runs_match_the_gemm_argsort_oracle_bitwise(ae_mode, tmp_path, monkeypatch,
                                                     room_store_path) -> None:
     real = harness.train_run(ae_config(tmp_path, "real", "room-nav", room_store_path, ae_mode))
-    monkeypatch.setattr(harness, "AdversarialKickstartLearner", GemmArgsortLearner)
+    monkeypatch.setitem(agents.LEARNERS, "cdql-ae", GemmArgsortLearner)
+    monkeypatch.setattr(GemmArgsortLearner, "calls", 0)
     oracle = harness.train_run(ae_config(tmp_path, "oracle", "room-nav", room_store_path, ae_mode))
     assert real.grad_steps > 0
+    assert GemmArgsortLearner.calls > 0  # the oracle, not the memoised search, ran
     assert metrics_bytes(real) == metrics_bytes(oracle)
 
 

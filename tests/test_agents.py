@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -721,20 +719,3 @@ def test_qdagger_combined_gradient_matches_finite_differences() -> None:
         return td_loss + lam * d_val, grads
 
     assert grad_check(student, proc, tolerance=1e-4).passed
-
-
-def test_twin_critic_flag_builds_two_online_critics() -> None:
-    hp = agents.defaults_for("cdql")
-    hp = dataclasses.replace(hp, twin_critic=True)
-    learner = agents.QLearner(4, 3, hp, 0)
-    assert learner.q2 is not None
-    rng = np.random.default_rng(43)
-    batch = make_batch(rng, n=8, dim=4, actions=3)
-    y = learner.compute_targets(batch)
-    rows = np.arange(len(batch))
-    a_star = np.argmax(forward(learner.q, batch.next_latents).final, axis=1)
-    b1 = forward(learner.q_target, batch.next_latents).final[rows, a_star]
-    b2 = forward(learner.q2_target, batch.next_latents).final[rows, a_star]
-    expected = batch.rewards + 0.99 * np.minimum(b1, b2) * (1 - batch.terminated)
-    assert np.allclose(y, expected, atol=1e-12)
-    learner.train_batch(batch)  # both critics step without error

@@ -57,6 +57,11 @@ def test_unknown_hyperparam_is_rejected() -> None:
         config_from_text(GOOD + "learning_rte = 1e-3\n")
 
 
+def test_twin_critic_is_an_unknown_hyperparam() -> None:
+    with pytest.raises(ConfigError, match="twin_critic"):
+        config_from_text(GOOD + "twin_critic = true\n")
+
+
 def test_unknown_section_is_rejected() -> None:
     with pytest.raises(ConfigError, match="unknown section"):
         config_from_text(GOOD + "\n[extras]\nx = 1\n")
@@ -182,6 +187,17 @@ def test_config_errors_exit_code_one(tmp_path, capsys) -> None:
                  "total_steps = 10\nseed = 1\nout_dir = x\n")
     assert cli.main(["train", "--config", config_path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cadence", ["0", "-50"])
+def test_eval_cadence_below_one_exits_with_a_config_error(tmp_path, capsys, cadence) -> None:
+    config_path = str(tmp_path / "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(GOOD.replace("runs/demo", str(tmp_path / "out"))
+                 .replace("eval_cadence = 1000", f"eval_cadence = {cadence}"))
+    assert cli.main(["train", "--config", config_path, "--quiet"]) == 1
+    assert "eval_cadence" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_runtime_errors_exit_code_two(tmp_path, capsys) -> None:

@@ -1,0 +1,79 @@
+"""Golden `metrics.csv` hashes: the bytes every agent kind writes on a small
+fixed config, pinned across changes to the code.
+
+A refactor of the training loop or the learners must leave these hashes
+unchanged; `test_run_is_bitwise_reproducible` only shows a run agrees with
+itself.  The hashes assume single-thread numpy/OpenBLAS (the package pins it
+at import) on x86-64; another BLAS build may round the gemms differently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import pytest
+
+from kickrl import agents, demos, encoders, harness
+
+STEPS = 600
+
+ROOM_NAV = {
+    "cdql": "4ed46b3260120c49acd4f2c557f1e20f1ca355c7ffd6fb270a446dfd99eaa9ec",
+    "her": "eeb4eba3eee75a88b975831195cbd65de82a4e7cf97a5e3bc9b0a36ed864d72c",
+    "qdagger": "c4f69fb60eb0c97e278404ff8b1b1f0e4ebe00c6db5f88bccd489b05fdd14614",
+    "awac": "393966884dad788e24fb5ab5eed0826fcf01cd54edbd960918f0de218b29f053",
+    "bc": "c4f8d967055a64f237d08aee1095e07841824c0b7ea4b307a6a1612847e1414e",
+    "cdql-ae:target-shaping": "ce9cd8bae517a661ed9b530fda8183d1538505a2646a64fe6b848f07a11c7479",
+    "cdql-ae:q-regression": "7abe1b0fd0540e2dc3869cc84782660031cd0378c360ac986a876260049806c9",
+    "cdql-ae:kl-penalty": "e6c40e3fa86acaa028ccaf5665a5b7077680d2bac8eb55729bb5da2c61fbe31f",
+}
+
+FOUR_ROOMS_VAE = {
+    "cdql-ae": "b7fba445c16f6add57cbe3074350fe0316ff16080298d6610dfdced22a1debc5",
+    "awac": "a56a41705e52561dbc4a2d30b01ef83cc71c60d709c2faabe8be16df75fee7bc",
+    "bc": "f806788fc086788c993c3392fec6dbc0ae05f9c0a5374617a2c396f111a0176d",
+}
+
+
+def run_hash(tmp_path, kind: str, env_name: str, demo_path: str | None,
+             encoder_spec: str = "identity", ae_mode: str | None = None) -> str:
+    hp = agents.scale_step_budgets(agents.defaults_for(kind), STEPS)
+    if ae_mode is not None:
+        hp.ae_mode = ae_mode
+    cfg = harness.RunConfig(
+        env_name=env_name, agent=kind, total_steps=STEPS, seed=1,
+        out_dir=str(tmp_path / kind), hp=hp, encoder_spec=encoder_spec,
+        demo_path=demo_path, eval_cadence=200, eval_episodes=3)
+    harness.train_run(cfg)
+    with open(os.path.join(cfg.out_dir, "metrics.csv"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def four_rooms_inputs(four_rooms_spec, four_rooms_store, tmp_path_factory):
+    """The shared 40-trajectory four-rooms store and a 16-dim, 3-epoch VAE."""
+    root = tmp_path_factory.mktemp("golden")
+    demo_path = str(root / "four-rooms.demos.jsonl")
+    demos.save_demos(four_rooms_store, demo_path)
+    corpus = encoders.collect_random_observations(four_rooms_spec, 10, seed=0)
+    vae, _ = encoders.train_vae(corpus, 16, encoders.VaeTrainConfig(epochs=3), seed=0)
+    vae_path = str(root / "vae.jsonl")
+    encoders.save_encoder(vae, vae_path)
+    return demo_path, f"vae:{vae_path}"
+
+
+@pytest.mark.parametrize("case", sorted(ROOM_NAV))
+def test_room_nav_metrics_match_golden_hash(case, tmp_path, room_store_path) -> None:
+    kind, _, ae_mode = case.partition(":")
+    needs_demos = kind in agents.KINDS_NEEDING_DEMOS
+    got = run_hash(tmp_path, kind, "room-nav", room_store_path if needs_demos else None,
+                   ae_mode=ae_mode or None)
+    assert got == ROOM_NAV[case]
+
+
+@pytest.mark.parametrize("kind", sorted(FOUR_ROOMS_VAE))
+def test_four_rooms_vae_metrics_match_golden_hash(kind, tmp_path, four_rooms_inputs) -> None:
+    demo_path, encoder_spec = four_rooms_inputs
+    got = run_hash(tmp_path, kind, "four-rooms-nav", demo_path, encoder_spec)
+    assert got == FOUR_ROOMS_VAE[kind]

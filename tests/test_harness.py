@@ -10,7 +10,7 @@ from kickrl import agents, demos, envs, harness
 from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder
 from kickrl.errors import ConfigError
-from kickrl.seeding import spawn_rng
+from kickrl.seeding import spawn_rng, spawn_seed
 
 
 def _tr(i: int) -> Transition:
@@ -189,6 +189,14 @@ def test_epsilon_column_empty_for_policy_agents(tmp_path, room_store_path) -> No
     assert all(r.epsilon is not None for r in rec2.rows)
 
 
+@pytest.mark.parametrize("cadence", [0, -50])
+def test_eval_cadence_below_one_is_a_config_error(tmp_path, cadence) -> None:
+    cfg = tiny_cfg(tmp_path, total=300)
+    cfg.eval_cadence = cadence
+    with pytest.raises(ConfigError, match="eval_cadence"):
+        harness.train_run(cfg)
+
+
 def test_missing_demos_is_a_config_error(tmp_path) -> None:
     cfg = tiny_cfg(tmp_path, "cdql-ae", total=300)
     with pytest.raises(ConfigError, match="demo"):
@@ -213,19 +221,21 @@ def test_run_seeds_parallel_matches_sequential(tmp_path, room_store_path) -> Non
         assert csv_a == csv_b
 
 
-def test_snapshot_round_trip_preserves_greedy_policy(tmp_path) -> None:
-    rec = harness.train_run(tiny_cfg(tmp_path, total=800))
+@pytest.mark.parametrize("kind", agents.AGENT_KINDS)
+def test_snapshot_round_trip_preserves_greedy_policy(kind, tmp_path, room_store_path) -> None:
+    demo_path = room_store_path if kind in agents.KINDS_NEEDING_DEMOS else None
+    cfg = tiny_cfg(tmp_path, kind, total=800, demo_path=demo_path)
+    rec = harness.train_run(cfg)
     action_fn, meta = harness.load_policy_snapshot(rec.snapshot_path)
-    assert meta["agent"] == "cdql"
-    spec = envs.make_room_nav()
-    for seed in range(5):
-        _, obs = envs.reset(spec, seed)
-        assert isinstance(action_fn(obs), int)
-    # reload and compare decisions across many observations
-    action_fn2, _ = harness.load_policy_snapshot(rec.snapshot_path)
-    for seed in range(10):
-        _, obs = envs.reset(spec, seed)
-        assert action_fn(obs) == action_fn2(obs)
+    assert meta["agent"] == kind
+    assert meta["head"] == {"awac": "actor", "bc": "policy"}.get(kind, "q")
+    # the snapshot holds the last row's parameters; bc keeps its first best row
+    row = rec.rows[-1]
+    if kind == "bc":
+        row = max(rec.rows, key=lambda r: r.mean_return)
+    replayed = harness.evaluate(action_fn, envs.make_room_nav(), cfg.eval_episodes,
+                                spawn_seed(cfg.seed, "eval", row.step))
+    assert replayed.mean_return == row.mean_return
 
 
 def test_one_encoder_instance_flows_through_a_run(tmp_path, room_store_path, room_spec) -> None:
