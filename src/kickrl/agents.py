@@ -21,8 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .demos import Transition
-from .nets import AdamState, DenseNet, adam_step, backward, forward, mlp, soft_update
-from .retrieval import LatentIndex, expert_estimate, knn, knn_batch, neighbor_action_counts
+from .nets import (Activations, AdamState, DenseNet, RowMemo, adam_step, backward, forward,
+                   mlp, soft_update)
+from .retrieval import (METRICS, LatentIndex, expert_estimate, knn, knn_batch,
+                        neighbor_action_counts)
 from .seeding import spawn_rng
 
 AE_MODES = ("target-shaping", "q-regression", "kl-penalty")
@@ -65,6 +67,12 @@ class Hyperparams:
             raise ValueError("tau must lie in [0, 1]")
         if self.ae_mode not in AE_MODES:
             raise ValueError(f"unknown ae_mode {self.ae_mode!r}")
+        if self.knn_metric not in METRICS:
+            raise ValueError(f"unknown knn_metric {self.knn_metric!r} (choose from {METRICS})")
+        if self.her_extra < 0:
+            raise ValueError("her_extra must be >= 0")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
         for name in ("buffer_capacity", "batch_size", "target_update_period",
                      "train_frequency", "k_neighbors"):
             if getattr(self, name) < 1:
@@ -186,20 +194,25 @@ class ArrayBatch:
 # -- temporal-difference core -------------------------------------------------
 
 
-def _min_bootstrap(batch: ArrayBatch, q_online: DenseNet, q_target: DenseNet,
+def _min_bootstrap(batch: ArrayBatch, q_online: DenseNet, q_target,
                    gamma: float) -> np.ndarray:
     """gamma * min(online, target) at the online argmax, masked on termination."""
     next_online = forward(q_online, batch.next_latents).final
     a_star = np.argmax(next_online, axis=1)
-    next_target = forward(q_target, batch.next_latents).final
+    next_target = (q_target(batch.next_latents) if callable(q_target)
+                   else forward(q_target, batch.next_latents).final)
     rows = np.arange(len(batch))
     boot = np.minimum(next_online[rows, a_star], next_target[rows, a_star])
     return gamma * boot * (1.0 - batch.terminated)
 
 
-def clipped_target(batch: ArrayBatch, q_online: DenseNet, q_target: DenseNet,
+def clipped_target(batch: ArrayBatch, q_online: DenseNet, q_target,
                    gamma: float) -> np.ndarray:
-    """Bootstrap on the smaller of the online and target estimates."""
+    """Bootstrap on the smaller of the online and target estimates.
+
+    ``q_target`` is the target net, or a function from latents to its
+    Q-values (a learner's RowMemo over the target net).
+    """
     if len(batch) == 0:
         raise ValueError("empty batch")
     return batch.rewards + _min_bootstrap(batch, q_online, q_target, gamma)
@@ -216,15 +229,20 @@ def td_loss_and_grad_rows(q_values: np.ndarray, actions: np.ndarray,
 
 
 def td_step(batch: ArrayBatch, targets: np.ndarray, q_online: DenseNet,
-            opt: AdamState) -> float:
-    """One TD regression step toward fixed targets."""
+            opt: AdamState, acts: Activations | None = None) -> float:
+    """One TD regression step toward fixed targets.
+
+    ``acts`` may carry the forward of ``q_online`` over ``batch.latents``
+    when the caller already ran it with the current parameters.
+    """
     if len(targets) != len(batch):
         raise ValueError("targets not aligned with batch")
-    acts = forward(q_online, batch.latents)
+    if acts is None:
+        acts = forward(q_online, batch.latents)
     loss, grad_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite TD loss {loss}: step rejected")
-    grads, _ = backward(q_online, acts, grad_rows)
+    grads, _ = backward(q_online, acts, grad_rows, input_gradient=False)
     adam_step(q_online.param_arrays(), grads, opt)
     return loss
 
@@ -252,7 +270,7 @@ class AEApplication:
 
 
 def ae_apply(batch: ArrayBatch, z_values: np.ndarray, lam: float, mode: str,
-             q_online: DenseNet, q_target: DenseNet, gamma: float,
+             q_online: DenseNet, q_target, gamma: float,
              q_values: np.ndarray | None = None,
              search_probs: np.ndarray | None = None) -> AEApplication:
     """Turn per-transition estimates into a training-signal modification.
@@ -345,17 +363,19 @@ def awac_weights(advantages: np.ndarray, lam: float,
 
 
 def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
-                critic_target: DenseNet, lam: float, actor_opt: AdamState,
+                critic_target, lam: float, actor_opt: AdamState,
                 critic_opt: AdamState, gamma: float) -> LossBreakdown:
     """Critic TD step on clipped targets, then advantage-weighted actor step.
 
     Advantages are read from the pre-update critic and treated as constants
-    in the actor gradient.
+    in the actor gradient.  ``critic_target`` is a net or a function from
+    latents to its Q-values, as in clipped_target.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
     rows = np.arange(len(batch))
-    q_values = forward(critic, batch.latents).final
+    critic_acts = forward(critic, batch.latents)
+    q_values = critic_acts.final
     actor_acts = forward(actor, batch.latents)
     log_probs = log_softmax(actor_acts.final)
     probs = np.exp(log_probs)
@@ -364,7 +384,7 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
     weights = awac_weights(advantage, lam)
 
     y = clipped_target(batch, critic, critic_target, gamma)
-    td = td_step(batch, y, critic, critic_opt)
+    td = td_step(batch, y, critic, critic_opt, critic_acts)
 
     actor_loss = float(-np.mean(weights * log_probs[rows, batch.actions]))
     if not np.isfinite(actor_loss):
@@ -372,7 +392,7 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
     onehot = np.zeros_like(probs)
     onehot[rows, batch.actions] = 1.0
     grad_rows = weights[:, None] * (probs - onehot)
-    grads, _ = backward(actor, actor_acts, grad_rows)
+    grads, _ = backward(actor, actor_acts, grad_rows, input_gradient=False)
     adam_step(actor.param_arrays(), grads, actor_opt)
     return LossBreakdown(td=td, actor=actor_loss, total=td + actor_loss)
 
@@ -414,7 +434,7 @@ def bc_update(batch: ArrayBatch, policy: DenseNet, opt: AdamState) -> float:
         raise FloatingPointError(f"non-finite BC loss {loss}: step rejected")
     grad_rows = np.exp(log_p)
     grad_rows[rows, batch.actions] -= 1.0
-    grads, _ = backward(policy, acts, grad_rows)
+    grads, _ = backward(policy, acts, grad_rows, input_gradient=False)
     adam_step(policy.param_arrays(), grads, opt)
     return loss
 
@@ -477,7 +497,12 @@ class Learner:
 
 
 class QLearner(Learner):
-    """Value learner: one online net plus a target net."""
+    """Value learner: one online net plus a target net.
+
+    The target net changes only in update_targets, so its values are
+    memoised per next-latent (``target_values``) and the memo is cleared
+    there.
+    """
 
     kind = "cdql"
     head = "q"
@@ -487,14 +512,15 @@ class QLearner(Learner):
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams, seed: int):
         self.hp = hp
         self.q = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "q1"))
-        self.q_target = self.q.copy()
+        self.q_target = q_target = self.q.copy()  # closed over: a closure on self is a cycle
+        self.target_values = RowMemo(lambda latents: forward(q_target, latents).final)
         self.opt = AdamState.for_params(self.q.param_arrays(), hp.learning_rate)
 
     def act(self, latent: np.ndarray, eps: float, rng: np.random.Generator) -> int:
         return act_eps_greedy(self.q, latent, eps, rng)
 
     def compute_targets(self, batch: ArrayBatch) -> np.ndarray:
-        return clipped_target(batch, self.q, self.q_target, self.hp.gamma)
+        return clipped_target(batch, self.q, self.target_values, self.hp.gamma)
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
         td = td_step(batch, self.compute_targets(batch), self.q, self.opt)
@@ -502,6 +528,7 @@ class QLearner(Learner):
 
     def update_targets(self) -> None:
         soft_update(self.q_target, self.q, self.hp.tau)
+        self.target_values.clear()
 
 
 class HerLearner(QLearner):
@@ -536,6 +563,8 @@ class AdversarialKickstartLearner(QLearner):
         self._refresh_demo_cache()
 
     def _refresh_demo_cache(self) -> None:
+        # Every index row, not only the distinct latents: a forward over fewer
+        # rows rounds differently (the 256->4 gemm changes kernel above ~900 rows).
         values = forward(self.q_target, self.index.latents).final
         self._demo_q = values[np.arange(len(self.index)), self.index.actions]
 
@@ -573,7 +602,7 @@ class AdversarialKickstartLearner(QLearner):
         z = self.z_for_batch(batch, neighbor_idx)
         if self.hp.ae_mode == "target-shaping":
             app = ae_apply(batch, z, self.hp.lam, "target-shaping",
-                           self.q, self.q_target, self.hp.gamma)
+                           self.q, self.target_values, self.hp.gamma)
             td = td_step(batch, app.targets, self.q, self.opt)
             return LossBreakdown(td=td, ae=float(z.mean()), total=td)
 
@@ -585,17 +614,22 @@ class AdversarialKickstartLearner(QLearner):
             counts = neighbor_action_counts(self.index, neighbor_idx)
             kwargs["search_probs"] = counts / neighbor_idx.shape[1]
         app = ae_apply(batch, z, self.hp.lam, self.hp.ae_mode,
-                       self.q, self.q_target, self.hp.gamma, **kwargs)
+                       self.q, self.target_values, self.hp.gamma, **kwargs)
         total = td_loss + app.penalty_loss
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite loss {total}: step rejected")
-        grads, _ = backward(self.q, acts, td_rows + app.penalty_grad_rows)
+        grads, _ = backward(self.q, acts, td_rows + app.penalty_grad_rows,
+                            input_gradient=False)
         adam_step(self.q.param_arrays(), grads, self.opt)
         return LossBreakdown(td=td_loss, ae=float(z.mean()), total=total)
 
 
 class QDaggerLearner(QLearner):
-    """Value learner with a distillation pull toward a cloned teacher."""
+    """Value learner with a distillation pull toward a cloned teacher.
+
+    The teacher is frozen once cloned, so its probabilities are memoised
+    per latent for the whole run.
+    """
 
     kind = "qdagger"
     needs_demos = needs_teacher = True
@@ -604,12 +638,13 @@ class QDaggerLearner(QLearner):
                  seed: int, teacher: DenseNet):
         super().__init__(latent_dim, n_actions, hp, seed)
         self.teacher = teacher
+        self._teacher_probs = RowMemo(lambda latents: softmax(forward(teacher, latents).final))
 
     def phase(self, tick: int) -> str:
         return qdagger_schedule(tick, self.hp)
 
     def teacher_probs(self, latents: np.ndarray) -> np.ndarray:
-        return softmax(forward(self.teacher, latents).final)
+        return self._teacher_probs(latents)
 
     def teacher_action(self, latent: np.ndarray) -> int:
         return greedy_action(self.teacher, latent)
@@ -624,7 +659,8 @@ class QDaggerLearner(QLearner):
         total = td_loss + self.hp.lam * d_value
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite loss {total}: step rejected")
-        grads, _ = backward(self.q, acts, td_rows + self.hp.lam * d_rows)
+        grads, _ = backward(self.q, acts, td_rows + self.hp.lam * d_rows,
+                            input_gradient=False)
         adam_step(self.q.param_arrays(), grads, self.opt)
         return LossBreakdown(td=td_loss, distill=d_value, total=total)
 
@@ -641,7 +677,8 @@ class AwacLearner(Learner):
         self.hp = hp
         self.actor = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "actor"))
         self.critic = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "critic"))
-        self.critic_target = self.critic.copy()
+        self.critic_target = critic_target = self.critic.copy()
+        self.target_values = RowMemo(lambda latents: forward(critic_target, latents).final)
         self.actor_opt = AdamState.for_params(self.actor.param_arrays(), hp.learning_rate)
         self.critic_opt = AdamState.for_params(self.critic.param_arrays(), hp.learning_rate)
 
@@ -654,12 +691,13 @@ class AwacLearner(Learner):
         return int(rng.choice(len(probs), p=probs))
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
-        return awac_update(batch, self.actor, self.critic, self.critic_target,
+        return awac_update(batch, self.actor, self.critic, self.target_values,
                            self.hp.lam, self.actor_opt, self.critic_opt,
                            self.hp.gamma)
 
     def update_targets(self) -> None:
         soft_update(self.critic_target, self.critic, self.hp.tau)
+        self.target_values.clear()
 
 
 class BCLearner(Learner):

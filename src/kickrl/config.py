@@ -110,7 +110,10 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError(f"[hyperparams]: unknown key {key!r}")
         target = tuple if field_name == "hidden" else type(getattr(hp, field_name))
         setattr(hp, field_name, _coerce(value, target, key))
-    hp.__post_init__()  # re-validate after overrides
+    try:
+        hp.__post_init__()  # re-validate after overrides
+    except ValueError as exc:
+        raise ConfigError(f"[hyperparams]: {exc}") from None
 
     return RunConfig(
         env_name=runvals["env"],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .nets import AdamState, DenseNet, adam_step, backward, forward, mlp
+from .nets import AdamState, DenseNet, RowMemo, adam_step, backward, forward, mlp
 from .seeding import spawn_rng
 
 
@@ -112,7 +112,11 @@ def fit_standardizer(observations: np.ndarray, std_floor: float = 1e-8) -> Stand
 
 
 class DenseVaeEncoder:
-    """Dense VAE: encoder emits (mu, log-variance); decode reconstructs."""
+    """Dense VAE: encoder emits (mu, log-variance); decode reconstructs.
+
+    Encoded rows are memoised per observation; vae_train_step, the only code
+    that changes ``enc_net``, clears the memo.
+    """
 
     def __init__(self, enc_net: DenseNet, dec_net: DenseNet, latent_dim: int,
                  noise_seed: int = 0):
@@ -126,6 +130,8 @@ class DenseVaeEncoder:
         self.enc_net = enc_net
         self.dec_net = dec_net
         self.latent_dim = latent_dim
+        self.latent_memo = RowMemo(  # over locals: a closure on self is a reference cycle
+            lambda obs: forward(enc_net, obs).final[:, :latent_dim].copy())
         self.noise_rng = spawn_rng(noise_seed, "vae-noise")
 
     @property
@@ -141,13 +147,13 @@ class DenseVaeEncoder:
         obs = np.asarray(obs, dtype=np.float64)
         if obs.shape != (self.dim,):
             raise ShapeError(f"observation shape {obs.shape} != ({self.dim},)")
-        return forward(self.enc_net, obs[None, :]).final[0, : self.latent_dim].copy()
+        return self.latent_memo(obs[None, :])[0]
 
     def encode_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.dim:
             raise ShapeError(f"batch shape {batch.shape} incompatible with dim {self.dim}")
-        return forward(self.enc_net, batch).final[:, : self.latent_dim].copy()
+        return self.latent_memo(batch)
 
 
 Encoder = IdentityEncoder | StandardizeEncoder | DenseVaeEncoder
@@ -203,7 +209,8 @@ def vae_loss_and_grads(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
     dec_grads, dz = backward(vae.dec_net, dec_acts, dec_out_grad)
     d_mu = dz + beta * mu
     d_log_var = dz * noise * 0.5 * sigma + beta * 0.5 * (np.exp(log_var) - 1.0)
-    enc_grads, _ = backward(vae.enc_net, enc_acts, np.hstack([d_mu, d_log_var]))
+    enc_grads, _ = backward(vae.enc_net, enc_acts, np.hstack([d_mu, d_log_var]),
+                            input_gradient=False)
     return parts, enc_grads, dec_grads
 
 
@@ -217,6 +224,7 @@ def vae_train_step(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
         raise FloatingPointError(f"non-finite loss {parts.total}: step rejected")
     adam_step(vae.enc_net.param_arrays(), enc_grads, enc_opt)
     adam_step(vae.dec_net.param_arrays(), dec_grads, dec_opt)
+    vae.latent_memo.clear()
     return parts
 
 

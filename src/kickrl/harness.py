@@ -228,9 +228,12 @@ def evaluate(action_fn, spec: GridWorldSpec, n_episodes: int, seed: int) -> Eval
 
     Returns the mean undiscounted return, sample standard deviation
     (n-1 denominator; 0.0 for a single episode), and success rate.
+    ``action_fn`` must be a pure function of the observation: it is called
+    once per distinct observation (by bytes) and its action reused.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    actions: dict[bytes, int] = {}
     returns = []
     successes = 0
     for i in range(n_episodes):
@@ -239,7 +242,10 @@ def evaluate(action_fn, spec: GridWorldSpec, n_episodes: int, seed: int) -> Eval
         last_reward = 0.0
         last_terminated = False
         while not state.done:
-            res = envs.step(spec, state, action_fn(obs))
+            key = obs.tobytes()
+            if key not in actions:
+                actions[key] = action_fn(obs)
+            res = envs.step(spec, state, actions[key])
             ep_return += res.reward
             last_reward = res.reward
             last_terminated = res.terminated

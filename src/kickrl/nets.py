@@ -144,15 +144,60 @@ def forward(net: DenseNet, batch: np.ndarray) -> Activations:
     return Activations(inputs=x, outputs=outputs)
 
 
+class RowMemo:
+    """The output rows of a function that does not change while the memo
+    lives, keyed by the bytes of each input row.
+
+    A batch whose rows are all known is answered from the memo; otherwise the
+    whole batch goes to ``fn``, exactly the call an unmemoised caller makes,
+    and every new row is recorded.  Entries are kept per batch row count: a
+    dense forward's rounding depends on the batch's row count (a 1-row forward
+    is a gemv, and OpenBLAS picks another gemm kernel for a 256->4 layer above
+    about 900 rows), but not on the batch's other rows.  ``clear`` must be
+    called whenever ``fn`` changes.  There is no size cap: callers feed grid
+    worlds, whose inputs repeat.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self._rows: dict[int, dict[bytes, np.ndarray]] = {}
+
+    def __call__(self, batch: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(batch, dtype=np.float64)
+        if x.ndim != 2:
+            raise ShapeError(f"expected a batch matrix, got ndim={x.ndim}")
+        known = self._rows.setdefault(len(x), {})
+        rows = []
+        for row in x:
+            value = known.get(row.tobytes())
+            if value is None:
+                break
+            rows.append(value)
+        else:
+            if rows:
+                return np.array(rows)  # a new array: callers may write to it
+        out = self.fn(x)
+        for row, value in zip(x, out):
+            key = row.tobytes()  # made one at a time, so a large batch keeps only new rows' keys
+            if key not in known:
+                known[key] = value.copy()
+        return out
+
+    def clear(self) -> None:
+        self._rows.clear()
+
+
 def backward(
-    net: DenseNet, acts: Activations, output_gradient: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    net: DenseNet, acts: Activations, output_gradient: np.ndarray,
+    input_gradient: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backpropagate per-sample output gradients through the net.
 
     `output_gradient` rows hold the gradient of each sample's loss term with
     respect to the final output.  Parameter gradients come back as means over
     the batch (aligned with param_arrays()); the returned input gradient stays
-    per-sample so nets can be chained.
+    per-sample so nets can be chained.  With ``input_gradient=False`` it is
+    not computed and comes back as None.
     """
     g = _as_batch(output_gradient)
     if len(acts.outputs) != len(net.layers):
@@ -175,6 +220,8 @@ def backward(
             raise ShapeError("stale activations: layer input width changed")
         grads[2 * i] = prev.T @ g / batch
         grads[2 * i + 1] = g.mean(axis=0)
+        if i == 0 and not input_gradient:
+            return grads, None
         g = g @ layer.weights.T
     return grads, g
 

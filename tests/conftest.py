@@ -49,3 +49,9 @@ def four_rooms_vae(four_rooms_spec):
     corpus = encoders.collect_random_observations(four_rooms_spec, 10, seed=0)
     vae, _ = encoders.train_vae(corpus, 8, encoders.VaeTrainConfig(epochs=3), seed=0)
     return vae
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)

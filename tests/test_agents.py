@@ -66,6 +66,12 @@ def test_hyperparams_validation() -> None:
         agents.Hyperparams(lam=-0.1)
     with pytest.raises(ValueError):
         agents.Hyperparams(ae_mode="bogus")
+    with pytest.raises(ValueError):
+        agents.Hyperparams(knn_metric="l1")
+    with pytest.raises(ValueError):
+        agents.Hyperparams(her_extra=-1)
+    with pytest.raises(ValueError):
+        agents.Hyperparams(learning_rate=0.0)
 
 
 # -- schedules -------------------------------------------------------------------------
@@ -719,3 +725,73 @@ def test_qdagger_combined_gradient_matches_finite_differences() -> None:
         return td_loss + lam * d_val, grads
 
     assert grad_check(student, proc, tolerance=1e-4).passed
+
+
+# -- memoised frozen nets -----------------------------------------------------------------
+
+
+def _replay_like_batch(rng, n_distinct=5, n=32, dim=6, actions=4) -> agents.ArrayBatch:
+    """A batch whose latents repeat, as grid-world latents do."""
+    pool = rng.integers(0, 2, size=(n_distinct, dim)).astype(np.float64)
+    return agents.ArrayBatch(
+        latents=pool[rng.integers(0, n_distinct, n)],
+        actions=rng.integers(0, actions, n),
+        rewards=rng.standard_normal(n),
+        next_latents=pool[rng.integers(0, n_distinct, n)],
+        terminated=np.zeros(n),
+        truncated=np.zeros(n),
+    )
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.3])
+@pytest.mark.parametrize("kind", ["cdql", "awac"])
+def test_target_values_equal_a_fresh_forward_after_update_targets(kind, tau) -> None:
+    rng = np.random.default_rng(90)
+    hp = agents.defaults_for(kind)
+    hp.tau, hp.hidden, hp.learning_rate = tau, (16,), 1e-2
+    learner = agents.LEARNERS[kind](6, 4, hp, 0)
+    target = learner.critic_target if kind == "awac" else learner.q_target
+    batch = _replay_like_batch(rng)
+    for _ in range(3):
+        for _ in range(4):
+            learner.train_batch(batch)  # fills the memo and moves the online net
+        learner.update_targets()
+        fresh = forward(target, batch.next_latents).final
+        assert np.array_equal(learner.target_values(batch.next_latents), fresh)
+        online = learner.critic if kind == "awac" else learner.q
+        assert np.array_equal(
+            agents.clipped_target(batch, online, learner.target_values, hp.gamma),
+            agents.clipped_target(batch, online, target, hp.gamma))
+
+
+def test_qdagger_teacher_probs_equal_a_fresh_forward(room_store) -> None:
+    encoder = IdentityEncoder(room_store.obs_dim)
+    teacher = mlp(room_store.obs_dim, 4, (16,), spawn_rng(91, "t"))
+    learner = agents.QDaggerLearner(room_store.obs_dim, 4, agents.defaults_for("qdagger"),
+                                    0, teacher)
+    transitions = list(room_store.transitions())
+    for start in range(0, 96, 32):
+        batch = agents.ArrayBatch.from_transitions(transitions[start:start + 32], encoder)
+        for _ in range(2):
+            assert np.array_equal(learner.teacher_probs(batch.latents),
+                                  agents.softmax(forward(teacher, batch.latents).final))
+            learner.train_batch(batch)
+
+
+def test_awac_forwards_the_critic_over_the_batch_once(monkeypatch) -> None:
+    rng = np.random.default_rng(92)
+    batch = _replay_like_batch(rng, n=8)
+    actor = mlp(6, 4, (8,), spawn_rng(93, "a"))
+    critic = mlp(6, 4, (8,), spawn_rng(94, "c"))
+    seen = []
+    real_forward = agents.forward
+
+    def spy(net, x):
+        seen.append((net is critic, x is batch.latents))
+        return real_forward(net, x)
+
+    monkeypatch.setattr(agents, "forward", spy)
+    agents.awac_update(batch, actor, critic, critic.copy(), 0.3,
+                       nets.AdamState.for_params(actor.param_arrays()),
+                       nets.AdamState.for_params(critic.param_arrays()), 0.99)
+    assert seen.count((True, True)) == 1

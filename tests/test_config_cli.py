@@ -200,6 +200,24 @@ def test_eval_cadence_below_one_exits_with_a_config_error(tmp_path, capsys, cade
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("override, key", [
+    ("knn_metric = l1", "knn_metric"),
+    ("her_extra = -5", "her_extra"),
+    ("learning_rate = -1e-3", "learning_rate"),
+    ("learning_rate = 0.0", "learning_rate"),
+])
+def test_out_of_range_hyperparams_exit_with_a_config_error(tmp_path, capsys, override,
+                                                           key) -> None:
+    config_path = str(tmp_path / "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(GOOD.replace("runs/demo", str(tmp_path / "out"))
+                 .replace("learning_rate = 3e-4", override))
+    assert cli.main(["train", "--config", config_path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_runtime_errors_exit_code_two(tmp_path, capsys) -> None:
     assert cli.main(["evaluate", "--snapshot", str(tmp_path / "missing.jsonl"),
                      "--env", "room-nav", "--episodes", "1", "--seed", "0"]) == 2

@@ -182,3 +182,36 @@ def test_encode_batch_matches_per_row_encode() -> None:
     batch = np.random.default_rng(12).standard_normal((4, 5))
     stacked = np.stack([vae.encode(row) for row in batch])
     assert np.allclose(vae.encode_batch(batch), stacked, atol=1e-12)
+
+
+# -- memoised encodes -------------------------------------------------------------------
+
+
+def _fresh_latents(vae, batch: np.ndarray) -> np.ndarray:
+    return nets.forward(vae.enc_net, batch).final[:, : vae.latent_dim]
+
+
+def test_memoised_encodes_equal_a_fresh_forward_after_each_train_step() -> None:
+    vae = encoders.new_vae(input_dim=24, latent_dim=4, hidden=(16, 16), seed=13)
+    enc_opt = nets.AdamState.for_params(vae.enc_net.param_arrays(), 1e-2)
+    dec_opt = nets.AdamState.for_params(vae.dec_net.param_arrays(), 1e-2)
+    rng = np.random.default_rng(14)
+    pool = rng.integers(0, 2, size=(10, 24)).astype(np.float64)
+    batch = pool[rng.integers(0, len(pool), 32)]
+    for _ in range(3):
+        for _ in range(2):  # the second pass is answered from the memo
+            assert np.array_equal(vae.encode_batch(batch), _fresh_latents(vae, batch))
+            for obs in pool:
+                assert np.array_equal(vae.encode(obs), _fresh_latents(vae, obs[None, :])[0])
+        encoders.vae_train_step(vae, batch, 0.0, enc_opt, dec_opt)
+
+
+def test_encoded_latents_can_be_mutated_by_the_caller() -> None:
+    vae = encoders.new_vae(input_dim=5, latent_dim=2, hidden=(6,), seed=15)
+    batch = np.random.default_rng(16).standard_normal((4, 5))
+    expected = _fresh_latents(vae, batch)
+    for _ in range(2):
+        vae.encode_batch(batch)[:] = 99.0
+        vae.encode(batch[0])[:] = 99.0
+    assert np.array_equal(vae.encode_batch(batch), expected)
+    assert np.array_equal(vae.encode(batch[0]), _fresh_latents(vae, batch[:1])[0])

@@ -76,15 +76,22 @@ def test_sampling_empty_buffer_is_an_error() -> None:
 
 
 def test_evaluate_matches_an_independent_rollout_oracle(room_spec) -> None:
-    qnet_action = lambda obs: 3  # always RIGHT
+    calls = []
+
+    def qnet_action(obs):
+        calls.append(obs.tobytes())
+        return 3  # always RIGHT
+
     result = harness.evaluate(qnet_action, room_spec, n_episodes=6, seed=5)
 
-    returns, successes = [], 0
+    returns, successes, observations = [], 0, set()
     for i in range(6):
         state, obs = envs.reset(room_spec, harness.spawn_seed(5, "eval-episode", i))
         total, last = 0.0, None
         while not state.done:
+            observations.add(obs.tobytes())
             last = envs.step(room_spec, state, 3)
+            obs = last.observation
             total += last.reward
         returns.append(total)
         if envs.episode_success(room_spec, last.terminated, last.reward, total):
@@ -92,6 +99,8 @@ def test_evaluate_matches_an_independent_rollout_oracle(room_spec) -> None:
     assert result.mean_return == float(np.mean(returns))
     assert result.std_return == float(np.std(returns, ddof=1))
     assert result.success_rate == successes / 6
+    # a pure action_fn is asked once per distinct observation
+    assert sorted(calls) == sorted(observations)
 
 
 def test_evaluate_single_episode_has_zero_std(room_spec) -> None:

@@ -300,3 +300,110 @@ def test_layer_rejects_non_finite_parameters() -> None:
     weights[0, 0] = np.inf
     with pytest.raises(ValueError):
         nets.Layer(weights, np.zeros(2), "linear")
+
+
+# -- the frozen-function memo ---------------------------------------------------------
+
+
+PREMISE_SHAPES = {  # (dims, activations) of the nets the package memoises
+    "q-net identity latents": ([128, 256, 256, 4], ["relu", "relu", "linear"]),
+    "q-net vae latents": ([16, 256, 256, 4], ["relu", "relu", "linear"]),
+    "vae encoder": ([242, 64, 64, 32], ["relu", "relu", "linear"]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PREMISE_SHAPES))
+def test_a_rows_output_depends_only_on_the_row_and_the_row_count(shape) -> None:
+    """The premise of RowMemo: in forwards of the same row count, rows with
+    equal bytes give bitwise-equal outputs wherever they sit in the batch."""
+    dims, activations = PREMISE_SHAPES[shape]
+    rng = np.random.default_rng(70)
+    net = nets.init_net(dims, activations, rng)
+    pool = rng.integers(0, 2, size=(24, dims[0])).astype(np.float64)
+    if dims[0] == 16:  # VAE latents are floats, not grid integers
+        pool = rng.standard_normal((24, dims[0]))
+    for n in [*range(1, 97), 1557, 2338]:
+        seen: dict[int, np.ndarray] = {}
+        for _ in range(2):
+            picks = rng.integers(0, len(pool), n)
+            out = nets.forward(net, pool[picks]).final
+            for pick, row in zip(picks, out):
+                first = seen.setdefault(int(pick), row)
+                assert np.array_equal(first, row), (shape, n, int(pick))
+
+
+def counted(net):
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return nets.forward(net, x).final
+
+    return fn, calls
+
+
+def test_row_memo_answers_bitwise_like_a_fresh_forward() -> None:
+    net = small_net(71)
+    fn, calls = counted(net)
+    memo = nets.RowMemo(fn)
+    rng = np.random.default_rng(72)
+    pool = rng.standard_normal((6, 4))
+    for _ in range(40):
+        batch = pool[rng.integers(0, len(pool), rng.integers(1, 9))]
+        assert np.array_equal(memo(batch), nets.forward(net, batch).final)
+    assert len(calls) < 40  # repeated batches were answered from the memo
+
+
+def test_row_memo_forwards_the_whole_batch_on_a_miss() -> None:
+    net = small_net(73)
+    fn, calls = counted(net)
+    memo = nets.RowMemo(fn)
+    pool = np.random.default_rng(74).standard_normal((3, 4))
+    memo(pool[[0, 1]])
+    memo(pool[[1, 0]])
+    assert calls == [2]
+    memo(pool[[0, 2]])
+    assert calls == [2, 2]
+
+
+def test_row_memo_keeps_row_counts_apart() -> None:
+    """A 1-row forward is a gemv and may round differently from the same row
+    inside a larger batch, so the memo never answers one from the other."""
+    net = small_net(75)
+    fn, calls = counted(net)
+    memo = nets.RowMemo(fn)
+    row = np.random.default_rng(76).standard_normal((1, 4))
+    memo(np.vstack([row, row]))
+    assert np.array_equal(memo(row), nets.forward(net, row).final)
+    assert calls == [2, 1]
+
+
+def test_row_memo_results_can_be_mutated_by_the_caller() -> None:
+    net = small_net(77)
+    memo = nets.RowMemo(lambda x: nets.forward(net, x).final)
+    batch = np.random.default_rng(78).standard_normal((3, 4))
+    expected = nets.forward(net, batch).final
+    memo(batch)[:] = 99.0  # the miss path's result
+    memo(batch)[:] = -99.0  # the hit path's result
+    assert np.array_equal(memo(batch), expected)
+
+
+def test_row_memo_clear_drops_every_row() -> None:
+    net = small_net(79)
+    memo = nets.RowMemo(lambda x: nets.forward(net, x).final)
+    batch = np.random.default_rng(80).standard_normal((3, 4))
+    memo(batch)
+    net.layers[0].weights += 1.0
+    memo.clear()
+    assert np.array_equal(memo(batch), nets.forward(net, batch).final)
+
+
+def test_backward_can_skip_the_input_gradient() -> None:
+    net = small_net(81)
+    x = np.random.default_rng(82).standard_normal((5, 4))
+    acts = nets.forward(net, x)
+    g = np.random.default_rng(83).standard_normal((5, 3))
+    grads, input_grad = nets.backward(net, acts, g)
+    skipped, none = nets.backward(net, acts, g, input_gradient=False)
+    assert none is None and input_grad.shape == (5, 4)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, skipped))
