@@ -14,7 +14,6 @@ from .agents import (
     LossBreakdown,
     adversarial_estimate,
     defaults_for,
-    discounted_return,
     eps_at,
     scale_step_budgets,
 )
@@ -38,7 +37,7 @@ from .harness import (
     run_seeds,
     train_run,
 )
-from .retrieval import DirichletBelief, LatentIndex, build_index, knn, posterior_update, search_policy
+from .retrieval import DirichletBelief, LatentIndex, build_index, knn, posterior_update
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "build_index",
     "compare_runs",
     "defaults_for",
-    "discounted_return",
     "eps_at",
     "evaluate",
     "generate_demos",
@@ -80,7 +78,6 @@ __all__ = [
     "run_seeds",
     "save_demos",
     "scale_step_budgets",
-    "search_policy",
     "train_run",
     "train_vae",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .demos import Transition
 from .nets import (Activations, AdamState, DenseNet, RowMemo, adam_step, backward, forward,
-                   mlp, soft_update)
+                   mlp, net_to_arrays, soft_update)
 from .retrieval import (METRICS, LatentIndex, expert_estimate, knn, knn_batch,
                         neighbor_action_counts)
 from .seeding import spawn_rng
@@ -81,19 +81,12 @@ class Hyperparams:
 
 
 def defaults_for(kind: str) -> Hyperparams:
-    """Published hyperparameters with the per-kind scaling-term default."""
-    if kind not in AGENT_KINDS:
-        raise ValueError(f"unknown agent kind {kind!r}")
-    hp = Hyperparams()
-    if kind == "cdql-ae":
-        hp.lam = 1.0
-    elif kind == "qdagger":
-        hp.lam = 1.0
-        hp.offline_steps = 125_000
-    elif kind == "awac":
-        hp.lam = 0.3
-        hp.offline_steps = 100_000
-    return hp
+    """Published hyperparameters with the kind's own lam and offline budget."""
+    try:
+        cls = LEARNERS[kind]
+    except KeyError:
+        raise ValueError(f"unknown agent kind {kind!r}") from None
+    return Hyperparams(lam=cls.default_lam, offline_steps=cls.default_offline_steps)
 
 
 def scale_step_budgets(hp: Hyperparams, total_steps: int) -> Hyperparams:
@@ -323,6 +316,7 @@ def ae_apply(batch: ArrayBatch, z_values: np.ndarray, lam: float, mode: str,
 
 def distill_loss_and_grad(teacher_probs: np.ndarray, student_logits: np.ndarray,
                           temperature: float) -> tuple[float, np.ndarray]:
+    """Batch-mean KL(teacher || tempered student) and its per-row logit gradient."""
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
     log_s = log_softmax(student_logits / temperature)
@@ -332,12 +326,6 @@ def distill_loss_and_grad(teacher_probs: np.ndarray, student_logits: np.ndarray,
     per_sample = np.sum(teacher_probs * (np.log(p_safe) - log_s_floored), axis=1)
     grad_rows = (s - teacher_probs) / temperature
     return float(per_sample.mean()), grad_rows
-
-
-def distill_loss(teacher_probs: np.ndarray, student_logits: np.ndarray,
-                 temperature: float) -> float:
-    """Batch-mean KL from the teacher distribution to the tempered student."""
-    return distill_loss_and_grad(teacher_probs, student_logits, temperature)[0]
 
 
 def qdagger_schedule(step: int, hp: Hyperparams) -> str:
@@ -439,15 +427,6 @@ def bc_update(batch: ArrayBatch, policy: DenseNet, opt: AdamState) -> float:
     return loss
 
 
-def discounted_return(rewards, gamma: float) -> float:
-    total = 0.0
-    weight = 1.0
-    for r in rewards:
-        total += weight * float(r)
-        weight *= gamma
-    return total
-
-
 # -- learners -----------------------------------------------------------------------
 
 
@@ -465,7 +444,9 @@ class Learner:
       demo store / builds a retrieval index over it / clones a teacher from it;
     * ``preloads_demos``: the demo store fills replay before the first step;
     * ``relabels``: replay batches gain hindsight-relabeled successes;
-    * ``keeps_best``: the run ends on the parameters of its best evaluation.
+    * ``keeps_best``: the run ends on the parameters of its best evaluation;
+    * ``default_lam`` / ``default_offline_steps``: the kind's published
+      ``lam`` and ``offline_steps`` (see defaults_for).
     """
 
     kind: str
@@ -474,6 +455,8 @@ class Learner:
     explores = False
     needs_demos = needs_index = needs_teacher = False
     preloads_demos = relabels = keeps_best = False
+    default_lam = 0.0
+    default_offline_steps = 0
 
     def phase(self, tick: int) -> str:
         return "online"
@@ -489,11 +472,8 @@ class Learner:
         pass
 
     def param_snapshot(self) -> dict[str, np.ndarray]:
-        named = {}
-        for name in self.saved:
-            net = getattr(self, name)
-            named.update(zip((f"{name}.{n}" for n in net.param_names()), net.param_arrays()))
-        return named
+        return {key: arr for name in self.saved
+                for key, arr in net_to_arrays(getattr(self, name), name).items()}
 
 
 class QLearner(Learner):
@@ -551,6 +531,7 @@ class AdversarialKickstartLearner(QLearner):
 
     kind = "cdql-ae"
     needs_demos = needs_index = True
+    default_lam = 1.0
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams,
                  seed: int, index: LatentIndex):
@@ -633,6 +614,8 @@ class QDaggerLearner(QLearner):
 
     kind = "qdagger"
     needs_demos = needs_teacher = True
+    default_lam = 1.0
+    default_offline_steps = 125_000
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams,
                  seed: int, teacher: DenseNet):
@@ -672,6 +655,8 @@ class AwacLearner(Learner):
     head = "actor"
     saved = ("actor", "critic")
     needs_demos = preloads_demos = True
+    default_lam = 0.3
+    default_offline_steps = 100_000
 
     def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams, seed: int):
         self.hp = hp
@@ -701,17 +686,31 @@ class AwacLearner(Learner):
 
 
 class BCLearner(Learner):
-    """Supervised action prediction on demonstration batches."""
+    """Supervised action prediction on demonstration batches; also clones
+    qdagger's teacher (harness.train_bc_policy, init stream ``"teacher"``)."""
 
     kind = "bc"
     head = "policy"
     saved = ("policy",)
     needs_demos = keeps_best = True
 
-    def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams, seed: int):
+    def __init__(self, latent_dim: int, n_actions: int, hp: Hyperparams, seed: int,
+                 init_tag: str = "policy"):
         self.hp = hp
-        self.policy = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "policy"))
+        self.policy = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", init_tag))
         self.opt = AdamState.for_params(self.policy.param_arrays(), hp.learning_rate)
+        self._best: tuple[float, list[np.ndarray]] | None = None
+
+    def evaluated(self, mean_return: float) -> None:
+        """Keep the parameters if no earlier evaluation scored as high."""
+        if self._best is None or mean_return > self._best[0]:
+            self._best = (mean_return, [p.copy() for p in self.policy.param_arrays()])
+
+    def restore_best(self) -> None:
+        """Put back the kept parameters (none kept: no change)."""
+        if self._best is not None:
+            for p, kept in zip(self.policy.param_arrays(), self._best[1]):
+                p[...] = kept
 
     def phase(self, tick: int) -> str:
         return "offline"

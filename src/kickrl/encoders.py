@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .nets import AdamState, DenseNet, RowMemo, adam_step, backward, forward, mlp
+from .nets import (AdamState, DenseNet, RowMemo, adam_step, backward, forward, mlp,
+                   net_from_arrays, net_to_arrays)
 from .seeding import spawn_rng
 
 
@@ -259,10 +260,7 @@ def encoder_to_arrays(enc: Encoder) -> tuple[dict[str, np.ndarray], dict]:
         return {}, {"kind": "identity", "dim": enc.dim}
     if isinstance(enc, StandardizeEncoder):
         return {"mean": enc.mean, "std": enc.std}, {"kind": "standardize"}
-    arrays: dict[str, np.ndarray] = {}
-    for prefix, net in (("enc", enc.enc_net), ("dec", enc.dec_net)):
-        for name, arr in zip(net.param_names(), net.param_arrays()):
-            arrays[f"{prefix}.{name}"] = arr
+    arrays = {**net_to_arrays(enc.enc_net, "enc"), **net_to_arrays(enc.dec_net, "dec")}
     meta = {
         "kind": "vae",
         "latent_dim": enc.latent_dim,
@@ -279,20 +277,9 @@ def encoder_from_arrays(arrays: dict[str, np.ndarray], meta: dict) -> Encoder:
     if kind == "standardize":
         return StandardizeEncoder(arrays["mean"], arrays["std"])
     if kind == "vae":
-        from .nets import Layer
-
-        nets = {}
-        for prefix, acts in (("enc", meta["enc_activations"]),
-                             ("dec", meta["dec_activations"])):
-            layers = []
-            for i, act in enumerate(acts):
-                layers.append(Layer(
-                    arrays[f"{prefix}.layer{i}.weights"],
-                    arrays[f"{prefix}.layer{i}.biases"],
-                    act,
-                ))
-            nets[prefix] = DenseNet(layers)
-        return DenseVaeEncoder(nets["enc"], nets["dec"], int(meta["latent_dim"]))
+        return DenseVaeEncoder(net_from_arrays(arrays, "enc", meta["enc_activations"]),
+                               net_from_arrays(arrays, "dec", meta["dec_activations"]),
+                               int(meta["latent_dim"]))
     raise ValueError(f"unknown encoder kind {kind!r}")
 
 

@@ -102,7 +102,7 @@ class GridWorldSpec:
         return self.items if self.reward_mode == "collect" else self.goals
 
     def _check_reachability(self) -> None:
-        reached = _flood(self, self._targets())
+        reached = distance_field(self, self._targets())
         for cell in self.start_cells():
             if cell not in reached:
                 raise ValueError(f"start cell {cell} cannot reach any target")
@@ -143,21 +143,6 @@ class GridWorldSpec:
         tag = zlib.crc32(layout.encode()) & 0xFFFFFFFF
         return (f"{self.kind}:{self.width}x{self.height}:T{self.max_steps}"
                 f":a{self.action_count}:{tag:08x}")
-
-
-def _flood(spec: GridWorldSpec, sources: frozenset[Cell]) -> set[Cell]:
-    frontier = [c for c in sources if spec.traversable(c)]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for (x, y) in frontier:
-            for dx, dy in MOVE_DELTAS:
-                n = (x + dx, y + dy)
-                if n not in seen and spec.traversable(n):
-                    seen.add(n)
-                    nxt.append(n)
-        frontier = nxt
-    return seen
 
 
 def _components(cells: set[Cell]) -> list[set[Cell]]:

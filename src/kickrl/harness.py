@@ -24,9 +24,9 @@ from . import envs
 from .agents import (
     LEARNERS,
     ArrayBatch,
+    BCLearner,
     Hyperparams,
     LossBreakdown,
-    bc_update,
     eps_at,
     greedy_action,
     her_augment,
@@ -41,7 +41,7 @@ from .encoders import (
 )
 from .envs import GridEnv, GridWorldSpec, PRESETS, episode_success
 from .errors import ConfigError
-from .nets import AdamState, DenseNet, Layer, mlp
+from .nets import DenseNet, net_from_arrays
 from .retrieval import build_index
 from .seeding import spawn_rng, spawn_seed
 from .snapshots import load_arrays, save_arrays
@@ -109,6 +109,10 @@ class RunConfig:
         return build_spec(self.env_name, self.env_options)
 
     def validate(self) -> None:
+        try:
+            self.hp.__post_init__()  # fields may have been set after construction
+        except ValueError as exc:
+            raise ConfigError(f"[hyperparams]: {exc}") from None
         if self.agent not in LEARNERS:
             raise ConfigError(f"unknown agent kind {self.agent!r}")
         if self.total_steps < 1:
@@ -264,30 +268,22 @@ def evaluate(action_fn, spec: GridWorldSpec, n_episodes: int, seed: int) -> Eval
 def train_bc_policy(store, spec: GridWorldSpec, encoder: Encoder, hp: Hyperparams,
                     seed: int, steps: int = 2000, eval_every: int = 250,
                     eval_episodes: int = 10) -> DenseNet:
-    """Clone the demonstrations, evaluating periodically and keeping the
-    snapshot with the highest mean reward.  Uses its own learning rate (3e-4);
-    the cloning problem is supervised and converges faster than TD."""
+    """Clone the demonstrations, evaluating every ``eval_every`` steps and at
+    the last, and return the policy of the best evaluation.  Uses its own
+    learning rate (3e-4); cloning is supervised and converges faster than TD."""
     demo = ArrayBatch.from_transitions(list(store.transitions()), encoder)
-    policy = mlp(demo.latents.shape[1], store.action_count, hp.hidden,
-                 spawn_rng(seed, "init", "teacher"))
-    opt = AdamState.for_params(policy.param_arrays(), TEACHER_BC_LEARNING_RATE)
+    learner = BCLearner(encoder.latent_dim, store.action_count,
+                        replace(hp, learning_rate=TEACHER_BC_LEARNING_RATE), seed,
+                        init_tag="teacher")
     batch_rng = spawn_rng(seed, "teacher-bc")
-    best_score = -math.inf
-    best_params = [p.copy() for p in policy.param_arrays()]
     for step_i in range(1, steps + 1):
-        bc_update(demo.take(batch_rng.integers(0, len(demo), size=hp.batch_size)),
-                  policy, opt)
+        learner.train_batch(demo.take(batch_rng.integers(0, len(demo), size=hp.batch_size)))
         if step_i % eval_every == 0 or step_i == steps:
-            result = evaluate(
-                lambda obs: greedy_action(policy, encoder.encode(obs)),
-                spec, eval_episodes, spawn_seed(seed, "teacher-eval", step_i),
-            )
-            if result.mean_return > best_score:
-                best_score = result.mean_return
-                best_params = [p.copy() for p in policy.param_arrays()]
-    for p, best in zip(policy.param_arrays(), best_params):
-        p[...] = best
-    return policy
+            result = evaluate(lambda obs: learner.greedy(encoder.encode(obs)),
+                              spec, eval_episodes, spawn_seed(seed, "teacher-eval", step_i))
+            learner.evaluated(result.mean_return)
+    learner.restore_best()
+    return learner.policy
 
 
 # -- the training loop -----------------------------------------------------------
@@ -370,7 +366,6 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     online_steps = 0
     online_warmup: int | None = None
     prev_phase: str | None = None
-    best: tuple[float, list[np.ndarray]] | None = None
 
     total = cfg.total_steps
     for tick in range(total + 1):
@@ -392,9 +387,8 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
                 print(f"[{cfg.agent} seed={cfg.seed}] step {tick}: "
                       f"mean_return={result.mean_return:.3f} "
                       f"success={result.success_rate:.2f}")
-            if learner.keeps_best and (best is None or result.mean_return > best[0]):
-                best = (result.mean_return,
-                        [p.copy() for p in learner.head_net.param_arrays()])
+            if learner.keeps_best:
+                learner.evaluated(result.mean_return)
         if tick == total:
             break
 
@@ -426,9 +420,8 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
         if (tick + 1) % hp.target_update_period == 0:
             learner.update_targets()
 
-    if best is not None:
-        for p, kept in zip(learner.head_net.param_arrays(), best[1]):
-            p[...] = kept  # final snapshot = best-evaluation parameters
+    if learner.keeps_best:
+        learner.restore_best()  # final snapshot = best-evaluation parameters
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     snapshot_path = os.path.join(cfg.out_dir, "params.snapshot.jsonl")
@@ -453,30 +446,8 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
 
 
 def _write_summary(record: RunRecord, path: str) -> None:
-    payload = {
-        "config": record.config,
-        "env_id": record.env_id,
-        "agent": record.agent,
-        "seed": record.seed,
-        "snapshot": record.snapshot_path,
-        "wall_secs": record.wall_secs,
-        "grad_steps": record.grad_steps,
-        "interaction_steps": record.interaction_steps,
-        "online_steps": record.online_steps,
-        "online_warmup": record.online_warmup,
-        "rows": [
-            {
-                "step": r.step,
-                "mean_return": r.mean_return,
-                "std_return": r.std_return,
-                "success_rate": r.success_rate,
-                "epsilon": r.epsilon,
-                "losses": None if r.losses is None else asdict(r.losses),
-                "wall_secs": r.wall_secs,
-            }
-            for r in record.rows
-        ],
-    }
+    payload = asdict(record)
+    payload["snapshot"] = payload.pop("snapshot_path")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -487,10 +458,9 @@ def _write_summary(record: RunRecord, path: str) -> None:
 
 def save_policy_snapshot(path: str, learner, encoder: Encoder,
                          spec: GridWorldSpec) -> None:
-    arrays = dict(learner.param_snapshot())
     enc_arrays, enc_meta = encoder_to_arrays(encoder)
-    for name, arr in enc_arrays.items():
-        arrays[f"encoder.{name}"] = arr
+    arrays = {**learner.param_snapshot(),
+              **{f"encoder.{name}": arr for name, arr in enc_arrays.items()}}
     meta = {
         "agent": learner.kind,
         "env_id": spec.env_id,
@@ -504,15 +474,7 @@ def save_policy_snapshot(path: str, learner, encoder: Encoder,
 def load_policy_snapshot(path: str):
     """Rebuild (greedy action_fn, meta) from a snapshot file."""
     arrays, meta = load_arrays(path)
-    head = meta["head"]
-    layers = []
-    for i, act in enumerate(meta["head_activations"]):
-        layers.append(Layer(
-            arrays[f"{head}.layer{i}.weights"],
-            arrays[f"{head}.layer{i}.biases"],
-            act,
-        ))
-    net = DenseNet(layers)
+    net = net_from_arrays(arrays, meta["head"], meta["head_activations"])
     enc_arrays = {name[len("encoder."):]: arr for name, arr in arrays.items()
                   if name.startswith("encoder.")}
     encoder = encoder_from_arrays(enc_arrays, meta["encoder"])

@@ -82,6 +82,19 @@ class DenseNet:
         )
 
 
+def net_to_arrays(net: DenseNet, prefix: str) -> dict[str, np.ndarray]:
+    """``{prefix}.layer{i}.weights|biases``: the layout of snapshot and encoder files."""
+    return {f"{prefix}.{name}": arr for name, arr in zip(net.param_names(), net.param_arrays())}
+
+
+def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str,
+                    activations: list[str]) -> DenseNet:
+    """Rebuild the net that net_to_arrays(net, prefix) flattened."""
+    return DenseNet([Layer(arrays[f"{prefix}.layer{i}.weights"],
+                           arrays[f"{prefix}.layer{i}.biases"], act)
+                     for i, act in enumerate(activations)])
+
+
 def init_net(dims: list[int], activations: list[str], rng: np.random.Generator) -> DenseNet:
     """Build a net with uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights."""
     if len(activations) != len(dims) - 1:
@@ -237,7 +250,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    _scratch: list[np.ndarray] = field(default_factory=list, repr=False)
+    _scratch: list[np.ndarray] = field(init=False, repr=False)  # adam_step's work buffers
+
+    def __post_init__(self) -> None:
+        self._scratch = [np.zeros_like(m) for m in self.m]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], learning_rate: float = 1e-4) -> "AdamState":
@@ -245,7 +261,6 @@ class AdamState:
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             learning_rate=learning_rate,
-            _scratch=[np.zeros_like(p) for p in params],
         )
 
 
@@ -270,8 +285,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
             all_zero = False
     if all_zero:
         return
-    if len(state._scratch) != len(params):  # states built before scratch existed
-        state._scratch = [np.zeros_like(p) for p in params]
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2

@@ -68,11 +68,6 @@ class QueryResult(NamedTuple):
     distances: np.ndarray  # squared L2 (or cosine distance)
 
 
-class SearchPolicyResult(NamedTuple):
-    probs: np.ndarray  # empirical neighbor action frequencies, length K
-    counts: np.ndarray  # raw neighbor action counts (the evidence vector)
-
-
 def build_index(store: DemoStore, encoder: Encoder) -> LatentIndex:
     """Encode every stored transition, preserving store order."""
     rows, actions, rewards, provenance = [], [], [], []
@@ -195,14 +190,6 @@ def neighbor_action_counts(index: LatentIndex, neighbor_idx: np.ndarray) -> np.n
     return np.bincount(flat, minlength=b * n_actions).reshape(b, n_actions)
 
 
-def search_policy(index: LatentIndex, query: np.ndarray, k: int,
-                  metric: str = "l2") -> SearchPolicyResult:
-    """Empirical action distribution of the k nearest stored transitions."""
-    result = knn(index, query, k, metric=metric)
-    counts = neighbor_action_counts(index, result.indices[None, :])[0]
-    return SearchPolicyResult(probs=counts / counts.sum(), counts=counts)
-
-
 @dataclass
 class DirichletBelief:
     alpha: np.ndarray
@@ -230,24 +217,3 @@ def posterior_update(belief: DirichletBelief, counts: np.ndarray) -> DirichletBe
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     return DirichletBelief(belief.alpha + counts)
-
-
-def q_values_prior(q_row: np.ndarray) -> np.ndarray:
-    """Synthesize an action prior from Q-values: softmax at temperature 1."""
-    z = np.asarray(q_row, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def fused_action_distribution(prior_probs: np.ndarray, index: LatentIndex,
-                              query: np.ndarray, k: int,
-                              metric: str = "l2") -> np.ndarray:
-    """Evaluation-time belief fusion: posterior mean after neighbor evidence.
-
-    The prior probabilities become the concentration vector; the retrieved
-    neighbors' action counts are the evidence added to it.
-    """
-    belief = DirichletBelief(np.asarray(prior_probs, dtype=np.float64))
-    evidence = search_policy(index, query, k, metric=metric).counts
-    return posterior_update(belief, evidence).mean()

@@ -422,12 +422,12 @@ def test_fixed_point_preserves_the_vanilla_td_value_in_every_mode() -> None:
 def test_distill_zero_when_student_matches_teacher() -> None:
     logits = np.array([[0.3, -0.1, 2.0]])
     p = agents.softmax(logits)
-    assert agents.distill_loss(p, logits, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert agents.distill_loss_and_grad(p, logits, 1.0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distill_one_hot_against_uniform_is_log4() -> None:
     p = np.array([[1.0, 0.0, 0.0, 0.0]])
-    assert agents.distill_loss(p, np.zeros((1, 4)), 1.0) == pytest.approx(
+    assert agents.distill_loss_and_grad(p, np.zeros((1, 4)), 1.0)[0] == pytest.approx(
         np.log(4.0), abs=1e-12)
 
 
@@ -436,14 +436,14 @@ def test_distill_non_negative_on_random_pairs() -> None:
     for _ in range(50):
         p = rng.dirichlet(np.ones(5), size=4)
         logits = rng.standard_normal((4, 5)) * 3
-        assert agents.distill_loss(p, logits, 1.0) >= -1e-9
+        assert agents.distill_loss_and_grad(p, logits, 1.0)[0] >= -1e-9
 
 
 def test_distill_matches_definition_oracle() -> None:
     rng = np.random.default_rng(17)
     p = rng.dirichlet(np.ones(4), size=6)
     logits = rng.standard_normal((6, 4))
-    value = agents.distill_loss(p, logits, 2.0)
+    value = agents.distill_loss_and_grad(p, logits, 2.0)[0]
     s = agents.softmax(logits / 2.0)
     oracle = np.mean([scipy.stats.entropy(p[i], s[i]) for i in range(6)])
     assert value == pytest.approx(oracle, rel=1e-9)
@@ -635,26 +635,6 @@ def test_bc_gradient_matches_finite_differences() -> None:
         return loss, grads
 
     assert grad_check(policy, proc, tolerance=1e-4).passed
-
-
-# -- discounted return ----------------------------------------------------------------------
-
-
-def test_discounted_return_direct_sum() -> None:
-    assert agents.discounted_return([0, 0, 1], 0.99) == 0.99 * 0.99
-
-
-def test_discount_zero_keeps_first_reward_only() -> None:
-    assert agents.discounted_return([0.3, 5.0, 5.0], 0.0) == 0.3
-
-
-def test_discounted_return_matches_term_by_term_oracle() -> None:
-    rng = np.random.default_rng(35)
-    for _ in range(20):
-        rewards = rng.standard_normal(rng.integers(1, 30))
-        gamma = float(rng.random())
-        oracle = float(np.sum(rewards * gamma ** np.arange(len(rewards))))
-        assert agents.discounted_return(rewards, gamma) == pytest.approx(oracle, abs=1e-12)
 
 
 # -- learners --------------------------------------------------------------------------------

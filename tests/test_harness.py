@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from kickrl import agents, demos, envs, harness
+from kickrl import agents, demos, envs, harness, nets
 from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder
 from kickrl.errors import ConfigError
@@ -206,6 +206,14 @@ def test_eval_cadence_below_one_is_a_config_error(tmp_path, cadence) -> None:
         harness.train_run(cfg)
 
 
+@pytest.mark.parametrize("field, value", [("her_extra", -5), ("learning_rate", -1e-3)])
+def test_hyperparams_set_after_construction_are_config_errors(tmp_path, field, value) -> None:
+    cfg = tiny_cfg(tmp_path, "her", total=200, **{field: value})
+    with pytest.raises(ConfigError, match=rf"\[hyperparams\]: {field}"):
+        harness.train_run(cfg)
+    assert not os.path.exists(cfg.out_dir)  # rejected before any training
+
+
 def test_missing_demos_is_a_config_error(tmp_path) -> None:
     cfg = tiny_cfg(tmp_path, "cdql-ae", total=300)
     with pytest.raises(ConfigError, match="demo"):
@@ -275,6 +283,56 @@ def test_encoder_dimension_mismatch_is_a_config_error(tmp_path, room_store_path)
     cfg.encoder_spec = f"standardize:{enc_path}"
     with pytest.raises(ConfigError, match="dim"):
         harness.train_run(cfg)
+
+
+def reference_teacher(store, spec, encoder, hp, seed, steps, eval_every, eval_episodes):
+    """The teacher clone as a BC loop of its own, independent of BCLearner."""
+    demo = agents.ArrayBatch.from_transitions(list(store.transitions()), encoder)
+    policy = nets.mlp(demo.latents.shape[1], store.action_count, hp.hidden,
+                      spawn_rng(seed, "init", "teacher"))
+    opt = nets.AdamState.for_params(policy.param_arrays(), harness.TEACHER_BC_LEARNING_RATE)
+    batch_rng = spawn_rng(seed, "teacher-bc")
+    best_score = -math.inf
+    best_params = [p.copy() for p in policy.param_arrays()]
+    for step_i in range(1, steps + 1):
+        agents.bc_update(demo.take(batch_rng.integers(0, len(demo), size=hp.batch_size)),
+                         policy, opt)
+        if step_i % eval_every == 0 or step_i == steps:
+            result = harness.evaluate(
+                lambda obs: agents.greedy_action(policy, encoder.encode(obs)),
+                spec, eval_episodes, spawn_seed(seed, "teacher-eval", step_i),
+            )
+            if result.mean_return > best_score:
+                best_score = result.mean_return
+                best_params = [p.copy() for p in policy.param_arrays()]
+    for p, best in zip(policy.param_arrays(), best_params):
+        p[...] = best
+    return policy
+
+
+def _same_params(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.param_arrays(), b.param_arrays()))
+
+
+# of the four evaluations, seed 0 keeps the first and seed 5 the second
+@pytest.mark.parametrize("seed, ties", [(0, False), (5, False), (3, True)],
+                         ids=["seed0", "seed5", "every-eval-ties"])
+def test_teacher_clone_matches_reference_loop(seed, ties, room_store, room_spec,
+                                              monkeypatch) -> None:
+    if ties:
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda *args: harness.EvalResult(0.5, 0.0, 0.5))
+    encoder = IdentityEncoder(room_spec.obs_dim)
+    hp = agents.defaults_for("qdagger")
+    args = (room_store, room_spec, encoder, hp, seed)
+    kwargs = dict(eval_every=100, eval_episodes=3)
+    got = harness.train_bc_policy(*args, steps=330, **kwargs)  # evals at 100, 200, 300, 330
+    assert _same_params(got, reference_teacher(*args, steps=330, **kwargs))
+    if ties:  # the first evaluation's parameters are kept, not the init's
+        assert _same_params(got, reference_teacher(*args, steps=100, **kwargs))
+        init = nets.mlp(room_spec.obs_dim, room_store.action_count, hp.hidden,
+                        spawn_rng(seed, "init", "teacher"))
+        assert not _same_params(got, init)
 
 
 def test_bc_teacher_reaches_competence(room_store, room_spec) -> None:

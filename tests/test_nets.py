@@ -160,6 +160,31 @@ def test_adam_descends_a_quadratic_bowl_monotonically() -> None:
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
+def test_adam_state_built_directly_steps_like_for_params() -> None:
+    # every constructor path gets its scratch buffers; there is no lazy fallback
+    a, b = small_net(12), small_net(12)
+    direct = nets.AdamState(m=[np.zeros_like(p) for p in a.param_arrays()],
+                            v=[np.zeros_like(p) for p in a.param_arrays()],
+                            learning_rate=1e-3)
+    built = nets.AdamState.for_params(b.param_arrays(), learning_rate=1e-3)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        grads = [rng.standard_normal(p.shape) for p in a.param_arrays()]
+        nets.adam_step(a.param_arrays(), grads, direct)
+        nets.adam_step(b.param_arrays(), grads, built)
+    assert all(np.array_equal(x, y) for x, y in zip(a.param_arrays(), b.param_arrays()))
+
+
+def test_net_arrays_round_trip_under_a_prefix() -> None:
+    net = small_net(13)
+    arrays = nets.net_to_arrays(net, "q")
+    assert list(arrays) == [f"q.layer{i}.{kind}" for i in range(len(net.layers))
+                            for kind in ("weights", "biases")]
+    back = nets.net_from_arrays(arrays, "q", [l.activation for l in net.layers])
+    assert all(np.array_equal(x, y) for x, y in zip(back.param_arrays(), net.param_arrays()))
+    assert [l.activation for l in back.layers] == [l.activation for l in net.layers]
+
+
 def test_adam_rejects_non_finite_gradients_without_mutation() -> None:
     net = small_net(11)
     params = net.param_arrays()

@@ -318,7 +318,8 @@ def test_non_positive_concentration_rejected() -> None:
         retrieval.DirichletBelief(np.array([1.0, 0.0]))
 
 
-# -- search policy -----------------------------------------------------------------------
+# -- search policy: neighbour action counts over knn results ------------------------------
+# kl-penalty's search policy is neighbor_action_counts over a row's k neighbours, / k.
 
 
 def test_search_policy_counts_neighbor_actions() -> None:
@@ -326,50 +327,34 @@ def test_search_policy_counts_neighbor_actions() -> None:
     index = retrieval.LatentIndex(latents, np.array([2, 2, 3, 2, 0]),
                                   np.zeros(5), [(0, i) for i in range(5)],
                                   "e", "env", 4)
-    result = retrieval.search_policy(index, np.array([0.0]), 4)
-    assert result.probs.tolist() == [0.0, 0.0, 0.75, 0.25]
-    assert result.counts.tolist() == [0, 0, 3, 1]
+    result = retrieval.knn(index, np.array([0.0]), 4)
+    counts = retrieval.neighbor_action_counts(index, result.indices[None, :])
+    assert counts.tolist() == [[0, 0, 3, 1]]
+    assert (counts / 4).tolist() == [[0.0, 0.0, 0.75, 0.25]]
 
 
 def test_search_policy_unanimous_neighbors_are_one_hot() -> None:
     index = retrieval.LatentIndex(np.zeros((6, 2)), np.full(6, 1),
                                   np.zeros(6), [(0, i) for i in range(6)],
                                   "e", "env", 3)
-    result = retrieval.search_policy(index, np.zeros(2), 4)
-    assert result.probs.tolist() == [0.0, 1.0, 0.0]
+    result = retrieval.knn(index, np.zeros(2), 4)
+    counts = retrieval.neighbor_action_counts(index, result.indices[None, :])
+    assert (counts / 4).tolist() == [[0.0, 1.0, 0.0]]
 
 
 def test_search_policy_sums_to_one_for_random_queries() -> None:
     index = random_index(8)
-    for seed in range(20):
-        query = np.random.default_rng(seed).standard_normal(8)
-        result = retrieval.search_policy(index, query, 8)
-        assert result.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    queries = np.random.default_rng(0).standard_normal((20, 8))
+    idx, _ = retrieval.knn_batch(index, queries, 8)
+    counts = retrieval.neighbor_action_counts(index, idx)
+    assert counts.shape == (20, 4)
+    assert ((counts / 8).sum(axis=1) == 1.0).all()
+    for row, neighbors in zip(counts, idx):  # row by row against a plain bincount
+        assert row.tolist() == np.bincount(index.actions[neighbors], minlength=4).tolist()
 
 
 def test_search_policy_with_k_equal_n_is_the_store_marginal() -> None:
     index = random_index(9, n=50)
-    result = retrieval.search_policy(index, np.zeros(8), 50)
-    marginal = np.bincount(index.actions, minlength=4) / 50
-    assert np.allclose(result.probs, marginal, atol=1e-12)
-
-
-# -- belief fusion utility ----------------------------------------------------------------
-
-
-def test_q_values_prior_is_a_distribution() -> None:
-    prior = retrieval.q_values_prior(np.array([1.0, 2.0, 3.0]))
-    assert prior.sum() == pytest.approx(1.0, abs=1e-12)
-    assert prior[2] > prior[1] > prior[0]
-
-
-def test_fused_distribution_shifts_toward_neighbor_evidence() -> None:
-    index = retrieval.LatentIndex(np.zeros((8, 2)), np.full(8, 2),
-                                  np.zeros(8), [(0, i) for i in range(8)],
-                                  "e", "env", 3)
-    prior = np.array([0.5, 0.3, 0.2])
-    fused = retrieval.fused_action_distribution(prior, index, np.zeros(2), 8)
-    assert fused.sum() == pytest.approx(1.0, abs=1e-12)
-    assert fused[2] > prior[2]
-    # exact posterior mean: (alpha + counts) / (sum alpha + k)
-    assert np.allclose(fused, (prior + np.array([0, 0, 8])) / 9.0, atol=1e-12)
+    result = retrieval.knn(index, np.zeros(8), 50)
+    counts = retrieval.neighbor_action_counts(index, result.indices[None, :])
+    assert counts[0].tolist() == np.bincount(index.actions, minlength=4).tolist()
