@@ -22,7 +22,7 @@ import numpy as np
 
 from .demos import Transition
 from .nets import (Activations, AdamState, DenseNet, RowMemo, adam_step, backward, forward,
-                   mlp, net_to_arrays, soft_update)
+                   forward_values, mlp, net_to_arrays, soft_update)
 from .retrieval import (METRICS, LatentIndex, expert_estimate, knn, knn_batch,
                         neighbor_action_counts)
 from .seeding import spawn_rng
@@ -130,7 +130,7 @@ def eps_at(t: int, total_steps: int, hp: Hyperparams) -> float:
 
 def greedy_action(qnet: DenseNet, latent: np.ndarray) -> int:
     """Argmax over Q-values; ties resolve to the lowest action index."""
-    return int(np.argmax(forward(qnet, latent[None, :]).final[0]))
+    return int(np.argmax(forward_values(qnet, latent[None, :])[0]))
 
 
 def act_eps_greedy(qnet: DenseNet, latent: np.ndarray, eps: float,
@@ -401,10 +401,21 @@ def her_augment(batch: list[Transition], buffer, n_extra: int,
         return out
     if len(buffer) == 0:
         raise ValueError("buffer is empty")
-    for _ in range(n_extra):
-        src = buffer.transitions[int(rng.integers(len(buffer)))]
-        out.append(replace(src, reward=1.0, terminated=True, truncated=False))
+    for slot in her_slots(len(buffer), n_extra, rng):
+        out.append(replace(buffer[int(slot)], reward=1.0, terminated=True, truncated=False))
     return out
+
+
+def her_slots(buffer_len: int, n_extra: int, rng: np.random.Generator) -> np.ndarray:
+    """The replay slots her_augment relabels: one draw per row, in order."""
+    return np.array([rng.integers(buffer_len) for _ in range(n_extra)], dtype=np.int64)
+
+
+def her_relabel(batch: ArrayBatch, first: int) -> None:
+    """Relabel rows ``first:`` of a batch as her_augment relabels transitions."""
+    batch.rewards[first:] = 1.0
+    batch.terminated[first:] = 1.0
+    batch.truncated[first:] = 0.0
 
 
 # -- behavioral cloning ---------------------------------------------------------------
@@ -493,7 +504,7 @@ class QLearner(Learner):
         self.hp = hp
         self.q = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "q1"))
         self.q_target = q_target = self.q.copy()  # closed over: a closure on self is a cycle
-        self.target_values = RowMemo(lambda latents: forward(q_target, latents).final)
+        self.target_values = RowMemo(lambda latents: forward_values(q_target, latents))
         self.opt = AdamState.for_params(self.q.param_arrays(), hp.learning_rate)
 
     def act(self, latent: np.ndarray, eps: float, rng: np.random.Generator) -> int:
@@ -546,7 +557,7 @@ class AdversarialKickstartLearner(QLearner):
     def _refresh_demo_cache(self) -> None:
         # Every index row, not only the distinct latents: a forward over fewer
         # rows rounds differently (the 256->4 gemm changes kernel above ~900 rows).
-        values = forward(self.q_target, self.index.latents).final
+        values = forward_values(self.q_target, self.index.latents)
         self._demo_q = values[np.arange(len(self.index)), self.index.actions]
 
     def update_targets(self) -> None:
@@ -621,7 +632,7 @@ class QDaggerLearner(QLearner):
                  seed: int, teacher: DenseNet):
         super().__init__(latent_dim, n_actions, hp, seed)
         self.teacher = teacher
-        self._teacher_probs = RowMemo(lambda latents: softmax(forward(teacher, latents).final))
+        self._teacher_probs = RowMemo(lambda latents: softmax(forward_values(teacher, latents)))
 
     def phase(self, tick: int) -> str:
         return qdagger_schedule(tick, self.hp)
@@ -663,7 +674,7 @@ class AwacLearner(Learner):
         self.actor = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "actor"))
         self.critic = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", "critic"))
         self.critic_target = critic_target = self.critic.copy()
-        self.target_values = RowMemo(lambda latents: forward(critic_target, latents).final)
+        self.target_values = RowMemo(lambda latents: forward_values(critic_target, latents))
         self.actor_opt = AdamState.for_params(self.actor.param_arrays(), hp.learning_rate)
         self.critic_opt = AdamState.for_params(self.critic.param_arrays(), hp.learning_rate)
 
@@ -672,7 +683,7 @@ class AwacLearner(Learner):
 
     def act(self, latent: np.ndarray, eps: float, rng: np.random.Generator) -> int:
         # policy-head sampling; the eps argument is ignored by design
-        probs = softmax(forward(self.actor, latent[None, :]).final)[0]
+        probs = softmax(forward_values(self.actor, latent[None, :]))[0]
         return int(rng.choice(len(probs), p=probs))
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:

@@ -73,11 +73,18 @@ def _cmd_train_encoder(args) -> int:
     return 0
 
 
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds expects comma-separated integers, got {text!r}") from None
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    seeds = _seed_list(args.seeds) if args.seeds is not None else [cfg.seed]
     records = run_seeds(cfg, seeds, parallelism=args.parallel,
                         verbose=not args.quiet)
     for rec in records:

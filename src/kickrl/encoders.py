@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .nets import (AdamState, DenseNet, RowMemo, adam_step, backward, forward, mlp,
-                   net_from_arrays, net_to_arrays)
+from .nets import (AdamState, DenseNet, RowMemo, adam_step, backward, forward, forward_values,
+                   mlp, net_from_arrays, net_to_arrays)
 from .seeding import spawn_rng
 
 
@@ -132,7 +132,7 @@ class DenseVaeEncoder:
         self.dec_net = dec_net
         self.latent_dim = latent_dim
         self.latent_memo = RowMemo(  # over locals: a closure on self is a reference cycle
-            lambda obs: forward(enc_net, obs).final[:, :latent_dim].copy())
+            lambda obs: forward_values(enc_net, obs)[:, :latent_dim].copy())
         self.noise_rng = spawn_rng(noise_seed, "vae-noise")
 
     @property

@@ -29,7 +29,9 @@ from .agents import (
     LossBreakdown,
     eps_at,
     greedy_action,
-    her_augment,
+    her_augment,  # unused here; bench/spans.py traces it as harness.her_augment
+    her_relabel,
+    her_slots,
 )
 from .demos import Transition, load_demos
 from .encoders import (
@@ -40,7 +42,7 @@ from .encoders import (
     load_encoder,
 )
 from .envs import GridEnv, GridWorldSpec, PRESETS, episode_success
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .nets import DenseNet, net_from_arrays
 from .retrieval import build_index
 from .seeding import spawn_rng, spawn_seed
@@ -52,34 +54,145 @@ METRICS_HEADER = ("step,mean_return,std_return,success_rate,epsilon,"
 TEACHER_BC_LEARNING_RATE = 3e-4
 
 
+# Observation rows the replay table may hold per slot before it is compacted.
+# A slot names at most two rows, so a compaction frees at least half the table.
+TABLE_ROWS_PER_SLOT = 4
+_FIRST_TABLE_ROWS = 64
+
+
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions; oldest entries evicted first."""
+    """Fixed-capacity ring of transitions; oldest entries evicted first.
+
+    A slot is one row of seven columns: obs_id, next_obs_id, action, reward,
+    terminated, truncated and t.  Observations are interned: a table stores
+    each distinct observation once (by bytes) and slots hold its row id.
+    Grid-world observations repeat (room-nav has 63 distinct ones), so the
+    table stays small.  Observations that never repeat grow it to at most
+    ``TABLE_ROWS_PER_SLOT * capacity`` rows; it is then compacted to the rows
+    that live slots name.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.transitions: list[Transition] = []
+        self._obs_id = np.empty(capacity, dtype=np.int64)
+        self._next_obs_id = np.empty(capacity, dtype=np.int64)
+        self._action = np.empty(capacity, dtype=np.int64)
+        self._reward = np.empty(capacity, dtype=np.float64)
+        self._terminated = np.empty(capacity, dtype=bool)
+        self._truncated = np.empty(capacity, dtype=bool)
+        self._t = np.empty(capacity, dtype=np.int64)
+        self._table: np.ndarray | None = None  # interned observations, first _rows live
+        self._rows = 0
+        self._ids: dict[bytes, int] = {}
+        self._size = 0
         self._cursor = 0
 
     def push(self, tr: Transition) -> None:
-        if len(self.transitions) < self.capacity:
-            self.transitions.append(tr)
-        else:
-            self.transitions[self._cursor] = tr
-            self._cursor = (self._cursor + 1) % self.capacity
+        if self._rows + 2 > TABLE_ROWS_PER_SLOT * self.capacity:
+            self._compact()
+        slot = self._cursor
+        self._obs_id[slot] = self._intern(tr.obs)
+        self._next_obs_id[slot] = self._intern(tr.next_obs)
+        self._action[slot] = tr.action
+        self._reward[slot] = tr.reward
+        self._terminated[slot] = tr.terminated
+        self._truncated[slot] = tr.truncated
+        self._t[slot] = tr.t
+        self._cursor = (slot + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+
+    def _intern(self, obs: np.ndarray) -> int:
+        row = np.ascontiguousarray(obs, dtype=np.float64)
+        if self._table is None:
+            first = min(_FIRST_TABLE_ROWS, TABLE_ROWS_PER_SLOT * self.capacity)
+            self._table = np.empty((first, *row.shape))
+        elif row.shape != self._table.shape[1:]:
+            raise ShapeError(f"observation shape {row.shape} != {self._table.shape[1:]}")
+        key = row.tobytes()
+        row_id = self._ids.get(key)
+        if row_id is None:
+            if self._rows == len(self._table):
+                grown = np.empty((min(2 * self._rows, TABLE_ROWS_PER_SLOT * self.capacity),
+                                  *row.shape))
+                grown[:self._rows] = self._table
+                self._table = grown
+            row_id = self._ids[key] = self._rows
+            self._table[row_id] = row
+            self._rows += 1
+        return row_id
+
+    def _compact(self) -> None:
+        """Keep only the table rows that a slot names, renumbered in order."""
+        n = self._size
+        live = np.unique(np.concatenate([self._obs_id[:n], self._next_obs_id[:n]]))
+        renumber = np.full(self._rows, -1, dtype=np.int64)
+        renumber[live] = np.arange(len(live))
+        self._table[:len(live)] = self._table[live]
+        self._rows = len(live)
+        self._obs_id[:n] = renumber[self._obs_id[:n]]
+        self._next_obs_id[:n] = renumber[self._next_obs_id[:n]]
+        self._ids = {key: int(renumber[row_id]) for key, row_id in self._ids.items()
+                     if renumber[row_id] >= 0}
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return self._size
+
+    def __getitem__(self, slot: int) -> Transition:
+        slot = range(self._size)[slot]  # IndexError outside the filled slots
+        return Transition(
+            obs=self._table[self._obs_id[slot]].copy(),
+            action=int(self._action[slot]),
+            reward=float(self._reward[slot]),
+            next_obs=self._table[self._next_obs_id[slot]].copy(),
+            terminated=bool(self._terminated[slot]),
+            truncated=bool(self._truncated[slot]),
+            t=int(self._t[slot]),
+        )
+
+    @property
+    def transitions(self) -> list[Transition]:
+        """Every filled slot as a Transition, in slot order (a new list)."""
+        return [self[slot] for slot in range(self._size)]
+
+    def sample_slots(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Uniform slots, with replacement."""
+        if self._size == 0:
+            raise ValueError("cannot sample from an empty buffer")
+        return rng.integers(0, self._size, size=batch_size)
+
+    def take(self, slots: np.ndarray, encoder: Encoder) -> ArrayBatch:
+        """The transitions in ``slots`` as a new batch, bitwise equal to
+        ``ArrayBatch.from_transitions([self[s] for s in slots], encoder)``."""
+        return ArrayBatch(
+            latents=encoder.encode_batch(self._table[self._obs_id[slots]]),
+            actions=self._action[slots],
+            rewards=self._reward[slots],
+            next_latents=encoder.encode_batch(self._table[self._next_obs_id[slots]]),
+            terminated=self._terminated[slots].astype(np.float64),
+            truncated=self._truncated[slots].astype(np.float64),
+        )
 
 
 def replay_sample(buffer: ReplayBuffer, batch_size: int,
                   rng: np.random.Generator) -> list[Transition]:
     """Uniform sampling with replacement."""
-    if len(buffer) == 0:
-        raise ValueError("cannot sample from an empty buffer")
-    idx = rng.integers(0, len(buffer), size=batch_size)
-    return [buffer.transitions[int(i)] for i in idx]
+    return [buffer[int(slot)] for slot in buffer.sample_slots(batch_size, rng)]
+
+
+def replay_batch(buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator,
+                 encoder: Encoder, her_extra: int = 0,
+                 her_rng: np.random.Generator | None = None) -> ArrayBatch:
+    """``ArrayBatch.from_transitions(her_augment(replay_sample(buffer,
+    batch_size, rng), buffer, her_extra, her_rng), encoder)``, bitwise and by
+    the same draws, gathered from the replay columns."""
+    slots = buffer.sample_slots(batch_size, rng)
+    if her_extra:
+        slots = np.concatenate([slots, her_slots(len(buffer), her_extra, her_rng)])
+    batch = buffer.take(slots, encoder)
+    her_relabel(batch, batch_size)
+    return batch
 
 
 # -- run configuration ---------------------------------------------------------
@@ -331,6 +444,7 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     replay_rng = spawn_rng(cfg.seed, "replay")
     her_rng = spawn_rng(cfg.seed, "her")
     offline_rng = spawn_rng(cfg.seed, "offline")
+    her_extra = hp.her_extra if learner.relabels else 0
 
     env = GridEnv(spec)
     episode_idx = 0
@@ -352,12 +466,6 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
         ))
         obs = res.observation
         interaction_steps += 1
-
-    def replay_batch() -> ArrayBatch:
-        sampled = replay_sample(buffer, hp.batch_size, replay_rng)
-        if learner.relabels:
-            sampled = her_augment(sampled, buffer, hp.her_extra, her_rng)
-        return ArrayBatch.from_transitions(sampled, encoder)
 
     cadence = cfg.resolved_cadence
     rows: list[MetricRow] = []
@@ -400,7 +508,7 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
         if phase == "teacher-collect":
             env_step(learner.teacher_action)
         elif phase == "offline-distill":
-            batch = replay_batch()
+            batch = replay_batch(buffer, hp.batch_size, replay_rng, encoder, her_extra, her_rng)
         elif phase == "offline":
             if demo is None:
                 demo = ArrayBatch.from_transitions(list(store.transitions()), encoder)
@@ -413,7 +521,8 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
                 online_warmup = max(0, hp.batch_size - (len(buffer) - 1))
             if (online_steps > online_warmup
                     and (online_steps - online_warmup) % hp.train_frequency == 0):
-                batch = replay_batch()
+                batch = replay_batch(buffer, hp.batch_size, replay_rng, encoder,
+                                     her_extra, her_rng)
         if batch is not None:
             last_losses = learner.train_batch(batch)
             grad_steps += 1
@@ -491,7 +600,10 @@ def load_policy_snapshot(path: str):
 def run_seeds(cfg: RunConfig, seeds: list[int], parallelism: int = 1,
               verbose: bool = False) -> list[RunRecord]:
     """Launch one run per seed; workers share only read-only inputs and
-    write to disjoint per-seed directories."""
+    write to disjoint per-seed directories, so a seed may not repeat."""
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"seeds repeat {repeated}: each seed writes its own seed_<n> directory")
     configs = [
         replace(cfg, seed=s, out_dir=os.path.join(cfg.out_dir, f"seed_{s}"))
         for s in seeds

@@ -136,25 +136,46 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(net: DenseNet, batch: np.ndarray) -> Activations:
-    """Run the net on a batch of rows, retaining every layer output."""
+def _net_input(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     x = _as_batch(batch)
     if x.shape[1] != net.input_dim:
         raise ShapeError(f"batch has {x.shape[1]} columns, net expects {net.input_dim}")
+    return x
+
+
+def _layer_output(layer: Layer, h: np.ndarray) -> np.ndarray:
+    """One layer on a batch, as a new array.  The bias add and activation run
+    in place on the gemm's result; each is the same elementwise operation as
+    its out-of-place form, so the bytes equal ``act(h @ W + b)``."""
+    z = h @ layer.weights
+    z += layer.biases
+    if layer.activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif layer.activation == "softmax":
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def forward(net: DenseNet, batch: np.ndarray) -> Activations:
+    """Run the net on a batch of rows, retaining every layer output."""
+    x = _net_input(net, batch)
     outputs: list[np.ndarray] = []
     h = x
     for layer in net.layers:
-        z = h @ layer.weights + layer.biases
-        if layer.activation == "relu":
-            h = np.maximum(z, 0.0)
-        elif layer.activation == "softmax":
-            z = z - z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            h = e / e.sum(axis=1, keepdims=True)
-        else:
-            h = z
+        h = _layer_output(layer, h)
         outputs.append(h)
     return Activations(inputs=x, outputs=outputs)
+
+
+def forward_values(net: DenseNet, batch: np.ndarray) -> np.ndarray:
+    """``forward(net, batch).final``, bitwise, holding one layer's output at a
+    time: for callers that never backpropagate, such as frozen nets."""
+    h = _net_input(net, batch)
+    for layer in net.layers:
+        h = _layer_output(layer, h)
+    return h
 
 
 class RowMemo:

@@ -240,3 +240,40 @@ def test_report_summary_json_carries_wall_clock(tmp_path) -> None:
     payload = json.load(open(tmp_path / "w" / "summary.json"))
     assert payload["wall_secs"] > 0
     assert all(r["wall_secs"] >= 0 for r in payload["rows"])
+
+
+def _short_config(tmp_path) -> str:
+    config_path = str(tmp_path / "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(GOOD.replace("runs/demo", str(tmp_path / "out"))
+                 .replace("total_steps = 20000", "total_steps = 200")
+                 .replace("eval_cadence = 1000", "eval_cadence = 100"))
+    return config_path
+
+
+@pytest.mark.parametrize("seeds", ["1,,2", "1,x", "3,", "1;2", ""])
+def test_malformed_seed_lists_exit_with_a_config_error(tmp_path, capsys, seeds) -> None:
+    assert cli.main(["train", "--config", _short_config(tmp_path), "--seeds", seeds,
+                     "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "--seeds" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_repeated_seeds_exit_with_a_config_error_before_any_run(tmp_path, capsys,
+                                                                parallel) -> None:
+    assert cli.main(["train", "--config", _short_config(tmp_path), "--seeds", "3,3",
+                     "--parallel", parallel, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "[3]" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_run_seeds_rejects_repeated_seeds(tmp_path) -> None:
+    from kickrl import harness
+
+    cfg = load_config(_short_config(tmp_path))
+    with pytest.raises(ConfigError, match="repeat"):
+        harness.run_seeds(cfg, [4, 5, 4])
+    assert not os.path.exists(tmp_path / "out")

@@ -1,0 +1,82 @@
+"""Memory held by the two largest structures of a run, measured with
+tracemalloc (deterministic, unlike the resident set size)."""
+
+from __future__ import annotations
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from kickrl import agents, envs, harness, nets
+from kickrl.demos import Transition
+from kickrl.retrieval import LatentIndex
+from kickrl.seeding import spawn_seed
+
+
+def test_demo_q_refresh_holds_two_hidden_layers_at_a_time() -> None:
+    """The benchmark's four-rooms index: 2,338 rows of 16-dim latents under
+    two hidden layers of 256.  Out-of-place bias adds and activations, with
+    every layer's output kept, peaked near four layers' worth of rows."""
+    rows, hidden = 2338, 256
+    rng = np.random.default_rng(0)
+    index = LatentIndex(latents=rng.standard_normal((rows, 16)),
+                        actions=rng.integers(0, 4, rows), rewards=np.zeros(rows),
+                        provenance=[(0, t) for t in range(rows)], encoder_id="test",
+                        env_id="four-rooms", action_count=4)
+    hp = replace(agents.defaults_for("cdql-ae"), hidden=(hidden, hidden))
+    learner = agents.AdversarialKickstartLearner(16, 4, hp, 1, index=index)
+    tracemalloc.start()
+    try:
+        learner._refresh_demo_cache()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rows * hidden * 8
+
+
+def test_forward_values_holds_one_layer_output_at_a_time() -> None:
+    """Three hidden layers: ``forward`` keeps all three outputs for backward,
+    the values-only forward only the layer it reads and the one it writes."""
+    rows, hidden = 2338, 256
+    net = nets.mlp(16, 4, (hidden, hidden, hidden), np.random.default_rng(2))
+    x = np.random.default_rng(3).standard_normal((rows, 16))
+    peaks = {}
+    for fn in (nets.forward_values, lambda n, b: nets.forward(n, b).final):
+        tracemalloc.start()
+        try:
+            fn(net, x)
+            peaks[fn] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    values_peak, forward_peak = peaks.values()
+    assert values_peak <= 2.5 * rows * hidden * 8 < forward_peak
+
+
+@pytest.mark.parametrize("make_spec", [envs.make_room_nav, envs.make_four_rooms])
+def test_replay_holds_under_one_and_a_half_mb_after_3000_pushes(make_spec) -> None:
+    """3,000 random-policy steps pushed as the training loop pushes them: each
+    step's Transition and observation arrays are new."""
+    spec = make_spec()
+    env = envs.GridEnv(spec)
+    rng = np.random.default_rng(1)
+    actions = rng.integers(0, spec.action_count, 3000)
+    tracemalloc.start()
+    try:
+        buffer = harness.ReplayBuffer(10_000)
+        obs, episode = None, 0
+        for action in actions.tolist():
+            if obs is None or env.state.done:
+                _, obs = env.reset(spawn_seed(1, "episode", episode))
+                episode += 1
+            res = env.step(action)
+            buffer.push(Transition(obs=obs, action=action, reward=res.reward,
+                                   next_obs=res.observation, terminated=res.terminated,
+                                   truncated=res.truncated, t=env.state.t - 1))
+            obs = res.observation
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buffer) == 3000
+    assert held < 1.5e6

@@ -357,6 +357,48 @@ def test_a_rows_output_depends_only_on_the_row_and_the_row_count(shape) -> None:
                 assert np.array_equal(first, row), (shape, n, int(pick))
 
 
+def reference_final(net: nets.DenseNet, x: np.ndarray) -> np.ndarray:
+    """The output layer by the out-of-place formulas: act(h @ W + b)."""
+    h = x
+    for layer in net.layers:
+        z = h @ layer.weights + layer.biases
+        if layer.activation == "relu":
+            h = np.maximum(z, 0.0)
+        elif layer.activation == "softmax":
+            z = z - z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            h = e / e.sum(axis=1, keepdims=True)
+        else:
+            h = z
+    return h
+
+
+@pytest.mark.parametrize("head", ["relu", "linear", "softmax"])
+@pytest.mark.parametrize("shape", sorted(PREMISE_SHAPES))
+def test_forward_values_equals_forward_final_bitwise(shape, head) -> None:
+    dims, activations = PREMISE_SHAPES[shape]
+    rng = np.random.default_rng(84)
+    net = nets.init_net(dims, [*activations[:-1], head], rng)
+    for n in (1, 32, 48, 1557, 2338):
+        x = rng.standard_normal((n, dims[0]))
+        values = nets.forward_values(net, x)
+        assert np.array_equal(values, nets.forward(net, x).final), (shape, head, n)
+        assert np.array_equal(values, reference_final(net, x)), (shape, head, n)
+
+
+def test_forward_values_leaves_its_input_alone() -> None:
+    net = small_net(85, activations=["relu", "softmax"])
+    x = np.random.default_rng(86).standard_normal((5, 4))
+    before = x.copy()
+    nets.forward_values(net, x)
+    assert np.array_equal(x, before)
+
+
+def test_forward_values_checks_the_batch_width() -> None:
+    with pytest.raises(ShapeError):
+        nets.forward_values(small_net(87), np.zeros((2, 5)))
+
+
 def counted(net):
     calls = []
 
