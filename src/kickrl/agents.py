@@ -69,15 +69,19 @@ class Hyperparams:
             raise ValueError(f"unknown ae_mode {self.ae_mode!r}")
         if self.knn_metric not in METRICS:
             raise ValueError(f"unknown knn_metric {self.knn_metric!r} (choose from {METRICS})")
-        if self.her_extra < 0:
-            raise ValueError("her_extra must be >= 0")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
+        for name in ("her_extra", "offline_steps", "exploration_fraction"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("learning_rate", "distill_temperature"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
         for name in ("buffer_capacity", "batch_size", "target_update_period",
-                     "train_frequency", "k_neighbors"):
+                     "train_frequency", "k_neighbors", "teacher_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
 
 
 def defaults_for(kind: str) -> Hyperparams:
@@ -221,6 +225,18 @@ def td_loss_and_grad_rows(q_values: np.ndarray, actions: np.ndarray,
     return float(np.mean(np.square(resid))), grad_rows
 
 
+def descend(net: DenseNet, opt: AdamState, acts: Activations, loss: float,
+            grad_rows: np.ndarray) -> float:
+    """One Adam step on ``net`` from its forward ``acts`` and the loss's
+    per-row output gradient; a non-finite loss is rejected before any change.
+    Returns the loss."""
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite loss {loss}: step rejected")
+    grads, _ = backward(net, acts, grad_rows, input_gradient=False)
+    adam_step(net.param_arrays(), grads, opt)
+    return loss
+
+
 def td_step(batch: ArrayBatch, targets: np.ndarray, q_online: DenseNet,
             opt: AdamState, acts: Activations | None = None) -> float:
     """One TD regression step toward fixed targets.
@@ -233,11 +249,7 @@ def td_step(batch: ArrayBatch, targets: np.ndarray, q_online: DenseNet,
     if acts is None:
         acts = forward(q_online, batch.latents)
     loss, grad_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite TD loss {loss}: step rejected")
-    grads, _ = backward(q_online, acts, grad_rows, input_gradient=False)
-    adam_step(q_online.param_arrays(), grads, opt)
-    return loss
+    return descend(q_online, opt, acts, loss, grad_rows)
 
 
 # -- adversarial estimates ------------------------------------------------------
@@ -375,13 +387,9 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
     td = td_step(batch, y, critic, critic_opt, critic_acts)
 
     actor_loss = float(-np.mean(weights * log_probs[rows, batch.actions]))
-    if not np.isfinite(actor_loss):
-        raise FloatingPointError(f"non-finite actor loss {actor_loss}: step rejected")
     onehot = np.zeros_like(probs)
     onehot[rows, batch.actions] = 1.0
-    grad_rows = weights[:, None] * (probs - onehot)
-    grads, _ = backward(actor, actor_acts, grad_rows, input_gradient=False)
-    adam_step(actor.param_arrays(), grads, actor_opt)
+    descend(actor, actor_opt, actor_acts, actor_loss, weights[:, None] * (probs - onehot))
     return LossBreakdown(td=td, actor=actor_loss, total=td + actor_loss)
 
 
@@ -428,14 +436,9 @@ def bc_update(batch: ArrayBatch, policy: DenseNet, opt: AdamState) -> float:
     rows = np.arange(len(batch))
     acts = forward(policy, batch.latents)
     log_p = log_softmax(acts.final)
-    loss = float(-np.mean(log_p[rows, batch.actions]))
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite BC loss {loss}: step rejected")
     grad_rows = np.exp(log_p)
     grad_rows[rows, batch.actions] -= 1.0
-    grads, _ = backward(policy, acts, grad_rows, input_gradient=False)
-    adam_step(policy.param_arrays(), grads, opt)
-    return loss
+    return descend(policy, opt, acts, float(-np.mean(log_p[rows, batch.actions])), grad_rows)
 
 
 # -- learners -----------------------------------------------------------------------
@@ -607,12 +610,8 @@ class AdversarialKickstartLearner(QLearner):
             kwargs["search_probs"] = counts / neighbor_idx.shape[1]
         app = ae_apply(batch, z, self.hp.lam, self.hp.ae_mode,
                        self.q, self.target_values, self.hp.gamma, **kwargs)
-        total = td_loss + app.penalty_loss
-        if not np.isfinite(total):
-            raise FloatingPointError(f"non-finite loss {total}: step rejected")
-        grads, _ = backward(self.q, acts, td_rows + app.penalty_grad_rows,
-                            input_gradient=False)
-        adam_step(self.q.param_arrays(), grads, self.opt)
+        total = descend(self.q, self.opt, acts, td_loss + app.penalty_loss,
+                        td_rows + app.penalty_grad_rows)
         return LossBreakdown(td=td_loss, ae=float(z.mean()), total=total)
 
 
@@ -650,12 +649,8 @@ class QDaggerLearner(QLearner):
         p = self.teacher_probs(batch.latents)
         d_value, d_rows = distill_loss_and_grad(p, acts.final,
                                                 self.hp.distill_temperature)
-        total = td_loss + self.hp.lam * d_value
-        if not np.isfinite(total):
-            raise FloatingPointError(f"non-finite loss {total}: step rejected")
-        grads, _ = backward(self.q, acts, td_rows + self.hp.lam * d_rows,
-                            input_gradient=False)
-        adam_step(self.q.param_arrays(), grads, self.opt)
+        total = descend(self.q, self.opt, acts, td_loss + self.hp.lam * d_value,
+                        td_rows + self.hp.lam * d_rows)
         return LossBreakdown(td=td_loss, distill=d_value, total=total)
 
 

@@ -73,18 +73,18 @@ def _cmd_train_encoder(args) -> int:
     return 0
 
 
-def _seed_list(text: str) -> list[int]:
+def _int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(s) for s in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--seeds expects comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    seeds = _seed_list(args.seeds) if args.seeds is not None else [cfg.seed]
+    seeds = _int_list(args.seeds, "--seeds") if args.seeds is not None else [cfg.seed]
     records = run_seeds(cfg, seeds, parallelism=args.parallel,
                         verbose=not args.quiet)
     for rec in records:
@@ -109,10 +109,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    checkpoints = _int_list(args.checkpoints, "--checkpoints")
     summaries = []
     for root in args.runs:
         summaries.extend(discover_runs(root))
-    checkpoints = [int(c) for c in args.checkpoints.split(",")]
     table = report_table(summaries, checkpoints)
     print(table.as_text(), end="")
     if args.csv_out:

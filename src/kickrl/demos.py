@@ -2,14 +2,13 @@
 
 Stores hold raw observations (never latents) so one store serves any
 encoder; encoding happens when a retrieval index is built.  The on-disk
-format is UTF-8 JSON lines: one header object, then one object per
-transition.  Files are self-describing -- loading never needs the
+format is the JSON-lines record file of snapshots.py: one header object,
+then one object per transition.  Files are self-describing -- loading never needs the
 originating environment.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ from . import envs
 from .envs import GridWorldSpec
 from .errors import FormatError
 from .seeding import spawn_rng, spawn_seed
+from .snapshots import read_records, write_records
 
 FORMAT_VERSION = 1
 TRANSITION_BUDGET = 1500
@@ -167,39 +167,23 @@ def save_demos(store: DemoStore, path: str) -> None:
         "action_count": store.action_count,
         "n_transitions": store.total_transitions,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for ti, traj in enumerate(store.trajectories):
-            for tr in traj.transitions:
-                row = {
-                    "traj": ti,
-                    "t": tr.t,
-                    "obs": [float(v) for v in tr.obs],
-                    "action": int(tr.action),
-                    "reward": float(tr.reward),
-                    "next_obs": [float(v) for v in tr.next_obs],
-                    "terminated": bool(tr.terminated),
-                    "truncated": bool(tr.truncated),
-                }
-                fh.write(json.dumps(row) + "\n")
-
-
-def _parse_line(raw: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {lineno}: not valid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise FormatError(f"line {lineno}: expected a JSON object")
-    return obj
+    write_records(path, header, (
+        {
+            "traj": ti,
+            "t": tr.t,
+            "obs": [float(v) for v in tr.obs],
+            "action": int(tr.action),
+            "reward": float(tr.reward),
+            "next_obs": [float(v) for v in tr.next_obs],
+            "terminated": bool(tr.terminated),
+            "truncated": bool(tr.truncated),
+        }
+        for ti, traj in enumerate(store.trajectories) for tr in traj.transitions))
 
 
 def load_demos(path: str) -> DemoStore:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("line 1: missing header")
-    header = _parse_line(lines[0], 1)
+    records = read_records(path)
+    _, header = next(records)
     if set(header) != _HEADER_FIELDS:
         missing = _HEADER_FIELDS - set(header)
         extra = set(header) - _HEADER_FIELDS
@@ -218,10 +202,7 @@ def load_demos(path: str) -> DemoStore:
 
     by_traj: dict[int, list[Transition]] = {}
     count = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            raise FormatError(f"line {lineno}: blank line inside store")
-        row = _parse_line(raw, lineno)
+    for lineno, row in records:
         if set(row) != _ROW_FIELDS:
             missing = _ROW_FIELDS - set(row)
             extra = set(row) - _ROW_FIELDS
@@ -248,7 +229,7 @@ def load_demos(path: str) -> DemoStore:
         count += 1
     if count != claimed:
         raise FormatError(
-            f"line {len(lines)}: file holds {count} transitions but the "
+            f"line {count + 1}: file holds {count} transitions but the "
             f"header claims {claimed}"
         )
 

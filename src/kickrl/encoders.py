@@ -46,32 +46,44 @@ def beta_schedule(epoch: int, total_epochs: int, cfg: VaeTrainConfig) -> float:
     return cfg.beta_max * min(1.0, max(0.0, frac))
 
 
-class IdentityEncoder:
-    def __init__(self, dim: int):
-        self.dim = dim
+class Encoder:
+    """The row contract every encoder keeps: an observation of width ``dim``
+    maps to a latent of width ``latent_dim`` (``dim`` unless the encoder says
+    otherwise), one row or a (B, dim) batch.  Subclasses define ``_latents``,
+    the map over a checked float64 batch."""
+
+    dim: int
 
     @property
     def latent_dim(self) -> int:
         return self.dim
 
-    @property
-    def encoder_id(self) -> str:
-        return f"identity:{self.dim}"
-
     def encode(self, obs: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
         if obs.shape != (self.dim,):
             raise ShapeError(f"observation shape {obs.shape} != ({self.dim},)")
-        return obs
+        return self._latents(obs[None, :])[0]
 
     def encode_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.dim:
             raise ShapeError(f"batch shape {batch.shape} incompatible with dim {self.dim}")
+        return self._latents(batch)
+
+
+class IdentityEncoder(Encoder):
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    @property
+    def encoder_id(self) -> str:
+        return f"identity:{self.dim}"
+
+    def _latents(self, batch: np.ndarray) -> np.ndarray:
         return batch
 
 
-class StandardizeEncoder:
+class StandardizeEncoder(Encoder):
     def __init__(self, mean: np.ndarray, std: np.ndarray):
         self.mean = np.asarray(mean, dtype=np.float64)
         self.std = np.asarray(std, dtype=np.float64)
@@ -85,24 +97,11 @@ class StandardizeEncoder:
         return self.mean.shape[0]
 
     @property
-    def latent_dim(self) -> int:
-        return self.dim
-
-    @property
     def encoder_id(self) -> str:
         tag = zlib.crc32(self.mean.tobytes() + self.std.tobytes()) & 0xFFFFFFFF
         return f"standardize:{self.dim}:{tag:08x}"
 
-    def encode(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != self.mean.shape:
-            raise ShapeError(f"observation shape {obs.shape} != {self.mean.shape}")
-        return (obs - self.mean) / self.std
-
-    def encode_batch(self, batch: np.ndarray) -> np.ndarray:
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 2 or batch.shape[1] != self.dim:
-            raise ShapeError(f"batch shape {batch.shape} incompatible with dim {self.dim}")
+    def _latents(self, batch: np.ndarray) -> np.ndarray:
         return (batch - self.mean) / self.std
 
 
@@ -112,7 +111,7 @@ def fit_standardizer(observations: np.ndarray, std_floor: float = 1e-8) -> Stand
     return StandardizeEncoder(obs.mean(axis=0), std)
 
 
-class DenseVaeEncoder:
+class DenseVaeEncoder(Encoder):
     """Dense VAE: encoder emits (mu, log-variance); decode reconstructs.
 
     Encoded rows are memoised per observation; vae_train_step, the only code
@@ -130,7 +129,6 @@ class DenseVaeEncoder:
             raise ShapeError("decoder dims must invert the encoder")
         self.enc_net = enc_net
         self.dec_net = dec_net
-        self.latent_dim = latent_dim
         self.latent_memo = RowMemo(  # over locals: a closure on self is a reference cycle
             lambda obs: forward_values(enc_net, obs)[:, :latent_dim].copy())
         self.noise_rng = spawn_rng(noise_seed, "vae-noise")
@@ -140,24 +138,16 @@ class DenseVaeEncoder:
         return self.enc_net.input_dim
 
     @property
+    def latent_dim(self) -> int:
+        return self.enc_net.output_dim // 2
+
+    @property
     def encoder_id(self) -> str:
         tag = zlib.crc32(b"".join(p.tobytes() for p in self.enc_net.param_arrays()))
         return f"vae:{self.latent_dim}:{tag & 0xFFFFFFFF:08x}"
 
-    def encode(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != (self.dim,):
-            raise ShapeError(f"observation shape {obs.shape} != ({self.dim},)")
-        return self.latent_memo(obs[None, :])[0]
-
-    def encode_batch(self, batch: np.ndarray) -> np.ndarray:
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 2 or batch.shape[1] != self.dim:
-            raise ShapeError(f"batch shape {batch.shape} incompatible with dim {self.dim}")
+    def _latents(self, batch: np.ndarray) -> np.ndarray:
         return self.latent_memo(batch)
-
-
-Encoder = IdentityEncoder | StandardizeEncoder | DenseVaeEncoder
 
 
 def new_vae(input_dim: int, latent_dim: int, hidden: tuple[int, ...] = (64, 64),

@@ -72,6 +72,11 @@ def test_hyperparams_validation() -> None:
         agents.Hyperparams(her_extra=-1)
     with pytest.raises(ValueError):
         agents.Hyperparams(learning_rate=0.0)
+    for field, value in [("distill_temperature", 0.0), ("hidden", (16, 0)),
+                         ("teacher_steps", -5), ("offline_steps", -3),
+                         ("exploration_fraction", -1.0)]:
+        with pytest.raises(ValueError, match=field):
+            agents.Hyperparams(**{field: value})
 
 
 # -- schedules -------------------------------------------------------------------------

@@ -205,6 +205,11 @@ def test_eval_cadence_below_one_exits_with_a_config_error(tmp_path, capsys, cade
     ("her_extra = -5", "her_extra"),
     ("learning_rate = -1e-3", "learning_rate"),
     ("learning_rate = 0.0", "learning_rate"),
+    ("distill_temperature = 0", "distill_temperature"),
+    ("hidden = 16,0", "hidden"),
+    ("teacher_steps = -5", "teacher_steps"),
+    ("offline_steps = -3", "offline_steps"),
+    ("exploration_fraction = -1", "exploration_fraction"),
 ])
 def test_out_of_range_hyperparams_exit_with_a_config_error(tmp_path, capsys, override,
                                                            key) -> None:
@@ -258,6 +263,14 @@ def test_malformed_seed_lists_exit_with_a_config_error(tmp_path, capsys, seeds) 
     err = capsys.readouterr().err
     assert "config error" in err and "--seeds" in err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("checkpoints", ["1,,2", "1,x", "3,", ""])
+def test_malformed_checkpoint_lists_exit_with_a_config_error(tmp_path, capsys,
+                                                            checkpoints) -> None:
+    assert cli.main(["report", "--runs", str(tmp_path), "--checkpoints", checkpoints]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "--checkpoints" in err
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
