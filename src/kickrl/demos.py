@@ -18,7 +18,7 @@ from . import envs
 from .envs import GridWorldSpec
 from .errors import FormatError
 from .seeding import spawn_rng, spawn_seed
-from .snapshots import read_records, write_records
+from .snapshots import field_float_bytes, field_int, field_number, read_records, write_records
 
 FORMAT_VERSION = 1
 TRANSITION_BUDGET = 1500
@@ -171,17 +171,28 @@ def save_demos(store: DemoStore, path: str) -> None:
         {
             "traj": ti,
             "t": tr.t,
-            "obs": [float(v) for v in tr.obs],
+            "obs": tr.obs,
             "action": int(tr.action),
             "reward": float(tr.reward),
-            "next_obs": [float(v) for v in tr.next_obs],
+            "next_obs": tr.next_obs,
             "terminated": bool(tr.terminated),
             "truncated": bool(tr.truncated),
         }
         for ti, traj in enumerate(store.trajectories) for tr in traj.transitions))
 
 
+def _shared(key: bytes, shared: dict[bytes, np.ndarray]) -> np.ndarray:
+    """The store's one array over these float64 bytes (so 0.0 and -0.0 stay
+    apart).  It views the immutable ``key``, so it is read-only."""
+    found = shared.get(key)
+    if found is None:
+        found = shared[key] = np.frombuffer(key, dtype=np.float64)
+    return found
+
+
 def load_demos(path: str) -> DemoStore:
+    """The store in ``path``.  Its transitions share one read-only array per
+    distinct observation: copy one before writing into it."""
     records = read_records(path)
     _, header = next(records)
     if set(header) != _HEADER_FIELDS:
@@ -196,11 +207,12 @@ def load_demos(path: str) -> DemoStore:
             f"line 1: format_version {header['format_version']} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
-    obs_dim = int(header["obs_dim"])
-    action_count = int(header["action_count"])
-    claimed = int(header["n_transitions"])
+    obs_dim = field_int(header["obs_dim"], 1, "obs_dim")
+    action_count = field_int(header["action_count"], 1, "action_count")
+    claimed = field_int(header["n_transitions"], 1, "n_transitions")
 
     by_traj: dict[int, list[Transition]] = {}
+    shared: dict[bytes, np.ndarray] = {}
     count = 0
     for lineno, row in records:
         if set(row) != _ROW_FIELDS:
@@ -210,21 +222,25 @@ def load_demos(path: str) -> DemoStore:
                 f"line {lineno}: transition fields wrong "
                 f"(missing={sorted(missing)}, extra={sorted(extra)})"
             )
-        obs = np.asarray(row["obs"], dtype=np.float64)
-        next_obs = np.asarray(row["next_obs"], dtype=np.float64)
+        obs = _shared(field_float_bytes(row["obs"], lineno, "obs"), shared)
+        next_obs = _shared(field_float_bytes(row["next_obs"], lineno, "next_obs"), shared)
         if obs.shape != (obs_dim,) or next_obs.shape != (obs_dim,):
             raise FormatError(
                 f"line {lineno}: observation length != header obs_dim {obs_dim}"
             )
-        action = int(row["action"])
+        action = field_int(row["action"], lineno, "action")
         if not 0 <= action < action_count:
             raise FormatError(
                 f"line {lineno}: action {action} outside [0, {action_count})"
             )
-        by_traj.setdefault(int(row["traj"]), []).append(Transition(
-            obs=obs, action=action, reward=float(row["reward"]),
-            next_obs=next_obs, terminated=bool(row["terminated"]),
-            truncated=bool(row["truncated"]), t=int(row["t"]),
+        terminated, truncated = row["terminated"], row["truncated"]
+        if type(terminated) is not bool or type(truncated) is not bool:
+            raise FormatError(f"line {lineno}: terminated or truncated is not a boolean")
+        by_traj.setdefault(field_int(row["traj"], lineno, "traj"), []).append(Transition(
+            obs=obs, action=action,
+            reward=field_number(row["reward"], lineno, "reward"),
+            next_obs=next_obs, terminated=terminated,
+            truncated=truncated, t=field_int(row["t"], lineno, "t"),
         ))
         count += 1
     if count != claimed:

@@ -10,6 +10,7 @@ snapshots.
 from __future__ import annotations
 
 import json
+import struct
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -20,10 +21,43 @@ FORMAT_VERSION = 1
 
 
 def write_records(path: str, header: dict, records: Iterable[dict]) -> None:
+    """Write the header and then each record as one JSON line.
+
+    A record's top-level numpy-array values are written as the JSON lists of
+    their float64 values, so every line is byte-equal to ``json.dumps`` of
+    the record with its arrays as lists of Python floats.  Within one file,
+    each distinct array (by shape and float64 bytes) is encoded once and its
+    text kept until the file is written: pass arrays for values that repeat
+    across records, and lists for values that never do.  Record keys are
+    strings.
+    """
+    texts: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for record in records:
-            fh.write(json.dumps(record) + "\n")
+            fh.write(_record_line(record, texts) + "\n")
+
+
+def _record_line(record: dict, texts: dict[tuple, str]) -> str:
+    # json.dumps of a dict joins its items with ", ", so a run of non-array
+    # items is the dump of that run as a dict, without its braces.
+    parts, plain = [], {}
+    for key, value in record.items():
+        if not isinstance(value, np.ndarray):
+            plain[key] = value
+            continue
+        if plain:
+            parts.append(json.dumps(plain)[1:-1])
+            plain = {}
+        value = np.asarray(value, dtype=np.float64)
+        memo = (value.shape, value.tobytes())
+        text = texts.get(memo)
+        if text is None:
+            text = texts[memo] = json.dumps(value.tolist())
+        parts.append(f"{json.dumps(key)}: {text}")
+    if plain:
+        parts.append(json.dumps(plain)[1:-1])
+    return "{" + ", ".join(parts) + "}"
 
 
 def read_records(path: str) -> Iterator[tuple[int, dict]]:
@@ -58,7 +92,32 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
 
 def _array_record(name: str, arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.float64)
-    return {"name": name, "shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
+    return {"name": name, "shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+
+
+def field_int(value, lineno: int, name: str) -> int:
+    """A JSON integer field; any other value is a FormatError naming its line."""
+    if type(value) is not int:
+        raise FormatError(f"line {lineno}: {name} {value!r} is not an integer")
+    return value
+
+
+def field_number(value, lineno: int, name: str) -> float:
+    """A JSON number field as a float; any other value is a FormatError."""
+    if type(value) not in (int, float):
+        raise FormatError(f"line {lineno}: {name} {value!r} is not a number")
+    return float(value)
+
+
+def field_float_bytes(value, lineno: int, name: str) -> bytes:
+    """The float64 bytes of a JSON list of numbers; anything else (a string
+    or a nested list among them, or no list at all) is a FormatError."""
+    if isinstance(value, list):
+        try:
+            return struct.pack(f"{len(value)}d", *value)
+        except struct.error:
+            pass
+    raise FormatError(f"line {lineno}: {name} is not a list of numbers")
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -66,19 +125,25 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     _, header = next(records)
     if header.get("format_version") != FORMAT_VERSION or header.get("kind") != "named-arrays":
         raise FormatError("line 1: not a named-array snapshot")
-    expected = list(header.get("names", []))
+    expected, meta = header.get("names", []), header.get("meta", {})
+    if not isinstance(expected, list) or not isinstance(meta, dict):
+        raise FormatError("line 1: names is not a list or meta is not an object")
 
     arrays: dict[str, np.ndarray] = {}
     for lineno, row in records:
         if set(row) != {"name", "shape", "data"}:
             raise FormatError(f"line {lineno}: array fields wrong")
-        arr = np.asarray(row["data"], dtype=np.float64)
-        shape = tuple(int(s) for s in row["shape"])
+        if not isinstance(row["name"], str) or not isinstance(row["shape"], list):
+            raise FormatError(f"line {lineno}: name is not a string or shape is not a list")
+        shape = tuple(field_int(s, lineno, "shape entry") for s in row["shape"])
+        if any(s < 0 for s in shape):
+            raise FormatError(f"line {lineno}: negative shape entry")
+        arr = np.frombuffer(field_float_bytes(row["data"], lineno, "data"), dtype=np.float64)
         if arr.size != (int(np.prod(shape)) if shape else 1):
             raise FormatError(f"line {lineno}: data length does not match shape")
-        arrays[str(row["name"])] = arr.reshape(shape)
+        arrays[row["name"]] = arr.reshape(shape).copy()
     if list(arrays) != expected:
         raise FormatError(
             f"line 1: header names {expected} do not match the file's arrays {list(arrays)}"
         )
-    return arrays, dict(header.get("meta", {}))
+    return arrays, dict(meta)

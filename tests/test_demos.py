@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kickrl import demos, envs
+from kickrl.demos import DemoStore, Trajectory, Transition
 from kickrl.errors import FormatError
 
 
@@ -148,6 +149,33 @@ def test_dimension_inconsistency_is_rejected(room_store, tmp_path) -> None:
         demos.load_demos(path)
 
 
+def _traj_as_string(row):
+    row["traj"] = "x"
+
+
+def _string_in_obs(row):
+    row["obs"][1] = "a"
+
+
+def _nested_list_in_obs(row):
+    row["obs"][1] = [0.0, 1.0]
+
+
+@pytest.mark.parametrize("corrupt", [_traj_as_string, _string_in_obs, _nested_list_in_obs])
+def test_bad_field_value_is_a_format_error_naming_the_line(room_store, tmp_path,
+                                                           corrupt) -> None:
+    path = str(tmp_path / "value.demos.jsonl")
+    demos.save_demos(room_store, path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    row = json.loads(lines[4])
+    corrupt(row)
+    lines[4] = json.dumps(row)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="^line 5: "):
+        demos.load_demos(path)
+
+
 def test_action_out_of_bounds_is_rejected(room_store, tmp_path) -> None:
     path = str(tmp_path / "act.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -172,3 +200,97 @@ def test_rewards_preserved_exactly_through_round_trip(tmp_path) -> None:
     for a, b in zip(store.transitions(), loaded.transitions()):
         assert a.reward == b.reward
         assert np.array_equal(a.obs, b.obs)
+
+
+# -- the writer's bytes and the loader's shared observations -----------------------
+
+
+def _reference_save_demos(store: DemoStore, path: str) -> None:
+    """save_demos and write_records as they were before array texts were
+    memoised: every float of every row formatted, one json.dumps per line."""
+    header = {
+        "format_version": demos.FORMAT_VERSION,
+        "env_id": store.env_id,
+        "encoder_id": store.encoder_id,
+        "obs_dim": store.obs_dim,
+        "action_count": store.action_count,
+        "n_transitions": store.total_transitions,
+    }
+    records = (
+        {
+            "traj": ti,
+            "t": tr.t,
+            "obs": [float(v) for v in tr.obs],
+            "action": int(tr.action),
+            "reward": float(tr.reward),
+            "next_obs": [float(v) for v in tr.next_obs],
+            "terminated": bool(tr.terminated),
+            "truncated": bool(tr.truncated),
+        }
+        for ti, traj in enumerate(store.trajectories) for tr in traj.transitions)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
+def _bench_store(make_spec):
+    """The benchmark's store: 200 trajectories, noise 0.1, seed 11."""
+    return _quiet_generate(make_spec(), expert_noise=0.1, n_traj=200, seed=11)
+
+
+def _empty_store():
+    return DemoStore(env_id="none", encoder_id="raw", obs_dim=4, action_count=2)
+
+
+def _edge_store():
+    """Zeros of both signs side by side, values with long or subnormal
+    decimal forms, an int-dtype observation equal to a float one, repeats by
+    value and by object, and numpy-scalar actions, rewards and flags."""
+    rows = [np.array([0.0, -0.0, 0.1, 1e-300]), np.array([-0.0, 0.0, 0.1, 1e-300]),
+            np.array([5e-324, -5e-324, 1 / 3, 2.0**60]), np.array([1, 2, 3, 4]),
+            np.array([1.0, 2.0, 3.0, 4.0])]
+    trajectories = []
+    for ti, order in enumerate([(0, 1, 2, 3), (4, 3, 3, 0, 1)]):
+        steps = len(order) - 1
+        transitions = [Transition(
+            obs=rows[order[t]], action=np.int64(t % 3), reward=np.float64(0.1 * t - 0.2),
+            next_obs=rows[order[t + 1]].copy(), terminated=np.bool_(t == steps - 1),
+            truncated=np.False_, t=t) for t in range(steps)]
+        trajectories.append(Trajectory(transitions, sum(tr.reward for tr in transitions)))
+    return DemoStore(env_id="edges", encoder_id="raw", obs_dim=4, action_count=3,
+                     trajectories=trajectories)
+
+
+@pytest.mark.parametrize("make_store", [
+    lambda: _bench_store(envs.make_room_nav), lambda: _bench_store(envs.make_four_rooms),
+    _empty_store, _edge_store,
+], ids=["room-nav", "four-rooms", "empty", "edges"])
+def test_save_demos_writes_the_reference_bytes(make_store, tmp_path) -> None:
+    store = make_store()
+    demos.save_demos(store, str(tmp_path / "new.demos.jsonl"))
+    _reference_save_demos(store, str(tmp_path / "reference.demos.jsonl"))
+    assert ((tmp_path / "new.demos.jsonl").read_bytes()
+            == (tmp_path / "reference.demos.jsonl").read_bytes())
+
+
+def test_loaded_store_shares_one_read_only_array_per_distinct_observation(tmp_path) -> None:
+    path = str(tmp_path / "room.demos.jsonl")
+    demos.save_demos(_bench_store(envs.make_room_nav), path)
+    store = demos.load_demos(path)
+    arrays = {id(arr): arr for tr in store.transitions() for arr in (tr.obs, tr.next_obs)}
+    assert store.total_transitions == 1557
+    assert len(arrays) == len({arr.tobytes() for arr in arrays.values()}) == 64
+    with pytest.raises(ValueError, match="read-only"):
+        next(store.transitions()).obs[0] = 1.0
+
+
+def test_zeros_of_either_sign_load_as_different_arrays(tmp_path) -> None:
+    path = str(tmp_path / "edges.demos.jsonl")
+    demos.save_demos(_edge_store(), path)
+    first, second = demos.load_demos(path).trajectories[0].transitions[:2]
+    assert first.next_obs is second.obs
+    assert first.obs is not second.obs
+    assert np.array_equal(first.obs, second.obs)  # equal as numbers, apart as bytes
+    assert np.signbit(first.obs).tolist() == [False, True, False, False]
+    assert np.signbit(second.obs).tolist() == [True, False, False, False]

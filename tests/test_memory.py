@@ -3,13 +3,15 @@ tracemalloc (deterministic, unlike the resident set size)."""
 
 from __future__ import annotations
 
+import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kickrl import agents, envs, harness, nets
+from kickrl import agents, demos, envs, harness, nets, snapshots
 from kickrl.demos import Transition
 from kickrl.retrieval import LatentIndex
 from kickrl.seeding import spawn_seed
@@ -80,3 +82,49 @@ def test_replay_holds_under_one_and_a_half_mb_after_3000_pushes(make_spec) -> No
         tracemalloc.stop()
     assert len(buffer) == 3000
     assert held < 1.5e6
+
+
+def _traced(fn) -> tuple[int, int]:
+    """(bytes still held, peak bytes) of the allocations ``fn`` makes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_bench_room_nav_store_holds_under_one_mb(tmp_path) -> None:
+    """The benchmark's store: 1,557 transitions over 64 distinct observations
+    of 128 floats.  One array per row held 3.67 MB."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", demos.DemoBudgetWarning)
+        store = demos.generate_demos(envs.make_room_nav(), 0.1, 200, 11)
+    path = str(tmp_path / "room.demos.jsonl")
+    demos.save_demos(store, path)
+    loaded = []
+    held, _ = _traced(lambda: loaded.append(demos.load_demos(path)))
+    assert loaded[0].total_transitions == 1557
+    assert held < 1e6
+
+
+def _reference_save_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """save_arrays as it was before write_records memoised array texts."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"format_version": 1, "kind": "named-arrays",
+                             "names": list(arrays), "meta": {}}) + "\n")
+        for name, arr in arrays.items():
+            fh.write(json.dumps({"name": name, "shape": list(arr.shape),
+                                 "data": [float(v) for v in arr.reshape(-1)]}) + "\n")
+
+
+def test_writing_a_snapshot_peaks_no_higher_than_formatting_each_float(tmp_path) -> None:
+    """A Q-net of 99,844 parameters: its arrays never repeat, so the writer
+    keeps no text of one array while it writes the next."""
+    arrays = nets.net_to_arrays(nets.mlp(128, 4, (256, 256), np.random.default_rng(0)), "q")
+    path = str(tmp_path / "q.snapshot.jsonl")
+    _, peak = _traced(lambda: snapshots.save_arrays(path, arrays))
+    _, reference_peak = _traced(lambda: _reference_save_arrays(str(tmp_path / "ref.jsonl"),
+                                                               arrays))
+    assert sum(arr.size for arr in arrays.values()) == 99_844
+    assert peak <= reference_peak

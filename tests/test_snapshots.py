@@ -51,9 +51,28 @@ def _renamed_array(lines):
     lines[2] = json.dumps(row)
 
 
+def _shape_not_ints(lines):
+    row = json.loads(lines[1])
+    row["shape"] = ["a", 2]
+    lines[1] = json.dumps(row)
+
+
+def _meta_as_list(lines):
+    header = json.loads(lines[0])
+    header["meta"] = ["kind", "test"]
+    lines[0] = json.dumps(header)
+
+
+def _string_in_data(lines):
+    row = json.loads(lines[2])
+    row["data"][0] = "0.5"
+    lines[2] = json.dumps(row)
+
+
 @pytest.mark.parametrize("corrupt, line", [
     (_header_as_list, 1), (_row_as_list, 3), (_bad_json, 2), (_blank_line, 3),
-    (_short_data, 2), (_renamed_array, 1),
+    (_short_data, 2), (_renamed_array, 1), (_shape_not_ints, 2), (_meta_as_list, 1),
+    (_string_in_data, 3),
 ])
 def test_bad_named_array_files_are_format_errors_naming_the_line(tmp_path, corrupt,
                                                                  line) -> None:
