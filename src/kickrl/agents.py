@@ -194,10 +194,10 @@ class ArrayBatch:
 def _min_bootstrap(batch: ArrayBatch, q_online: DenseNet, q_target,
                    gamma: float) -> np.ndarray:
     """gamma * min(online, target) at the online argmax, masked on termination."""
-    next_online = forward(q_online, batch.next_latents).final
+    next_online = forward_values(q_online, batch.next_latents)
     a_star = np.argmax(next_online, axis=1)
     next_target = (q_target(batch.next_latents) if callable(q_target)
-                   else forward(q_target, batch.next_latents).final)
+                   else forward_values(q_target, batch.next_latents))
     rows = np.arange(len(batch))
     boot = np.minimum(next_online[rows, a_star], next_target[rows, a_star])
     return gamma * boot * (1.0 - batch.terminated)
@@ -229,10 +229,11 @@ def descend(net: DenseNet, opt: AdamState, acts: Activations, loss: float,
             grad_rows: np.ndarray) -> float:
     """One Adam step on ``net`` from its forward ``acts`` and the loss's
     per-row output gradient; a non-finite loss is rejected before any change.
-    Returns the loss."""
+    Returns the loss.  ``acts`` may live in ``opt``'s buffers (forward with
+    ``work=opt``); the gradients go there too."""
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}: step rejected")
-    grads, _ = backward(net, acts, grad_rows, input_gradient=False)
+    grads, _ = backward(net, acts, grad_rows, input_gradient=False, work=opt)
     adam_step(net.param_arrays(), grads, opt)
     return loss
 
@@ -247,7 +248,7 @@ def td_step(batch: ArrayBatch, targets: np.ndarray, q_online: DenseNet,
     if len(targets) != len(batch):
         raise ValueError("targets not aligned with batch")
     if acts is None:
-        acts = forward(q_online, batch.latents)
+        acts = forward(q_online, batch.latents, work=opt)
     loss, grad_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
     return descend(q_online, opt, acts, loss, grad_rows)
 
@@ -374,9 +375,9 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
     if len(batch) == 0:
         raise ValueError("empty batch")
     rows = np.arange(len(batch))
-    critic_acts = forward(critic, batch.latents)
+    critic_acts = forward(critic, batch.latents, work=critic_opt)
     q_values = critic_acts.final
-    actor_acts = forward(actor, batch.latents)
+    actor_acts = forward(actor, batch.latents, work=actor_opt)
     log_probs = log_softmax(actor_acts.final)
     probs = np.exp(log_probs)
     value = np.sum(probs * q_values, axis=1)
@@ -434,7 +435,7 @@ def bc_update(batch: ArrayBatch, policy: DenseNet, opt: AdamState) -> float:
     if len(batch) == 0:
         raise ValueError("empty batch")
     rows = np.arange(len(batch))
-    acts = forward(policy, batch.latents)
+    acts = forward(policy, batch.latents, work=opt)
     log_p = log_softmax(acts.final)
     grad_rows = np.exp(log_p)
     grad_rows[rows, batch.actions] -= 1.0
@@ -602,7 +603,7 @@ class AdversarialKickstartLearner(QLearner):
             return LossBreakdown(td=td, ae=float(z.mean()), total=td)
 
         targets = self.compute_targets(batch)
-        acts = forward(self.q, batch.latents)
+        acts = forward(self.q, batch.latents, work=self.opt)
         td_loss, td_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
         kwargs = {"q_values": acts.final}
         if self.hp.ae_mode == "kl-penalty":
@@ -644,7 +645,7 @@ class QDaggerLearner(QLearner):
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
         targets = self.compute_targets(batch)
-        acts = forward(self.q, batch.latents)
+        acts = forward(self.q, batch.latents, work=self.opt)
         td_loss, td_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
         p = self.teacher_probs(batch.latents)
         d_value, d_rows = distill_loss_and_grad(p, acts.final,

@@ -122,25 +122,30 @@ def generate_demos(
     n_traj: int = 20,
     seed: int = 0,
 ) -> DemoStore:
-    """Roll out the scripted expert for n_traj episodes with derived seeds."""
+    """Roll out the scripted expert for n_traj episodes with derived seeds.
+    The transitions share one read-only array per distinct observation, as
+    a loaded store's do."""
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     trajectories = []
+    shared: dict[bytes, np.ndarray] = {}
     for i in range(n_traj):
         ep_seed = spawn_seed(seed, "demo-episode", i)
         expert_rng = spawn_rng(seed, "demo-expert", i)
         state, obs = envs.reset(spec, ep_seed)
+        obs = _shared(obs.tobytes(), shared)
         transitions: list[Transition] = []
         t = 0
         while not state.done:
             action = envs.expert_action(spec, state, expert_noise, expert_rng)
             res = envs.step(spec, state, action)
+            next_obs = _shared(res.observation.tobytes(), shared)
             transitions.append(Transition(
                 obs=obs, action=action, reward=res.reward,
-                next_obs=res.observation, terminated=res.terminated,
+                next_obs=next_obs, terminated=res.terminated,
                 truncated=res.truncated, t=t,
             ))
-            obs = res.observation
+            obs = next_obs
             t += 1
         trajectories.append(Trajectory(
             transitions=transitions,

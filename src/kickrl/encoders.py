@@ -170,15 +170,19 @@ def kl_standard_normal(mu: np.ndarray, log_var: np.ndarray) -> np.ndarray:
 
 
 def vae_loss_and_grads(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
-                       noise: np.ndarray):
+                       noise: np.ndarray,
+                       opts: tuple[AdamState, AdamState] | None = None):
     """Reconstruction + beta*KL with explicit (frozen) reparameterization noise.
 
     Returns (parts, enc_grads, dec_grads); grads are batch means aligned with
-    each net's param_arrays().
+    each net's param_arrays().  They are new arrays, or, with ``opts`` (the
+    encoder's and the decoder's AdamState), those states' buffers, which also
+    hold the step's batch-sized arrays (see nets.backward).
     """
     batch = np.asarray(batch, dtype=np.float64)
-    n_features = batch.shape[1]
-    enc_acts = forward(vae.enc_net, batch)
+    n_rows, n_features = batch.shape
+    enc_work, dec_work = opts or (None, None)
+    enc_acts = forward(vae.enc_net, batch, work=enc_work)
     mu = enc_acts.final[:, : vae.latent_dim]
     log_var = enc_acts.final[:, vae.latent_dim:]
     sigma = np.exp(0.5 * log_var)
@@ -186,9 +190,13 @@ def vae_loss_and_grads(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
         raise ShapeError(f"noise shape {noise.shape} != latent shape {mu.shape}")
     z = mu + sigma * noise
 
-    dec_acts = forward(vae.dec_net, z)
-    recon = dec_acts.final
-    per_sample_mse = np.mean(np.square(recon - batch), axis=1)
+    dec_acts = forward(vae.dec_net, z, work=dec_work)
+    diff_buf = square_buf = None
+    if dec_work is not None:
+        diff_buf, square_buf = (dec_work.rows(name, n_rows, n_features)
+                                for name in ("diff", "square"))
+    diff = np.subtract(dec_acts.final, batch, out=diff_buf)
+    per_sample_mse = np.mean(np.square(diff, out=square_buf), axis=1)
     per_sample_kl = kl_standard_normal(mu, log_var)
     parts = VaeLossParts(
         total=float(per_sample_mse.mean() + beta * per_sample_kl.mean()),
@@ -196,21 +204,24 @@ def vae_loss_and_grads(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
         kl=float(per_sample_kl.mean()),
     )
 
-    dec_out_grad = 2.0 * (recon - batch) / n_features  # per-sample MSE grad
-    dec_grads, dz = backward(vae.dec_net, dec_acts, dec_out_grad)
+    diff *= 2.0  # the per-sample MSE grad, 2 * (recon - batch) / n_features
+    diff /= n_features
+    dec_grads, dz = backward(vae.dec_net, dec_acts, diff, work=dec_work)
     d_mu = dz + beta * mu
     d_log_var = dz * noise * 0.5 * sigma + beta * 0.5 * (np.exp(log_var) - 1.0)
     enc_grads, _ = backward(vae.enc_net, enc_acts, np.hstack([d_mu, d_log_var]),
-                            input_gradient=False)
+                            input_gradient=False, work=enc_work)
     return parts, enc_grads, dec_grads
 
 
 def vae_train_step(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
                    enc_opt: AdamState, dec_opt: AdamState) -> VaeLossParts:
-    """One optimization step; noise comes from the encoder's seeded stream."""
+    """One optimization step; noise comes from the encoder's seeded stream.
+    Its gradients and batch-sized arrays live in the optimisers' buffers."""
     batch = np.asarray(batch, dtype=np.float64)
     noise = vae.noise_rng.standard_normal((batch.shape[0], vae.latent_dim))
-    parts, enc_grads, dec_grads = vae_loss_and_grads(vae, batch, beta, noise)
+    parts, enc_grads, dec_grads = vae_loss_and_grads(vae, batch, beta, noise,
+                                                     (enc_opt, dec_opt))
     if not np.isfinite(parts.total):
         raise FloatingPointError(f"non-finite loss {parts.total}: step rejected")
     adam_step(vae.enc_net.param_arrays(), enc_grads, enc_opt)
@@ -229,15 +240,16 @@ def train_vae(observations: np.ndarray, latent_dim: int,
     enc_opt = AdamState.for_params(vae.enc_net.param_arrays(), cfg.learning_rate)
     dec_opt = AdamState.for_params(vae.dec_net.param_arrays(), cfg.learning_rate)
     order_rng = spawn_rng(seed, "vae-batches")
+    gathered = np.empty((cfg.batch_size, observations.shape[1]))  # each batch, in turn
     history: list[VaeLossParts] = []
     for epoch in range(cfg.epochs):
         beta = beta_schedule(epoch, cfg.epochs, cfg)
         perm = order_rng.permutation(observations.shape[0])
         epoch_parts = None
         for start in range(0, len(perm), cfg.batch_size):
-            chunk = observations[perm[start:start + cfg.batch_size]]
-            if len(chunk) == 0:
-                continue
+            rows = perm[start:start + cfg.batch_size]
+            # mode "clip" writes straight into out; "raise" would gather a copy
+            chunk = np.take(observations, rows, axis=0, out=gathered[:len(rows)], mode="clip")
             epoch_parts = vae_train_step(vae, chunk, beta, enc_opt, dec_opt)
         if epoch_parts is not None:
             history.append(epoch_parts)
@@ -288,17 +300,32 @@ def load_encoder(path: str) -> Encoder:
 
 
 def collect_random_observations(spec, n_traj: int = 50, seed: int = 0) -> np.ndarray:
-    """Roll a uniform-random policy to build a VAE pre-training corpus."""
+    """Roll a uniform-random policy to build a VAE pre-training corpus.
+
+    Grid observations repeat (four-rooms: 104 distinct in 5,371 rows), so
+    each distinct one is held once while rolling out, and the corpus is
+    gathered from them at the end."""
     from . import envs  # deferred: envs has no need to exist for pure-VAE use
 
     from .seeding import spawn_seed
 
-    rows = []
+    ids: dict[bytes, int] = {}  # float64 bytes -> row of `distinct`
+    distinct: list[np.ndarray] = []
+    order: list[int] = []
+
+    def add(obs: np.ndarray) -> None:
+        row = np.asarray(obs, dtype=np.float64)
+        key = row.tobytes()
+        if key not in ids:
+            ids[key] = len(distinct)
+            distinct.append(row)
+        order.append(ids[key])
+
     for i in range(n_traj):
         state, obs = envs.reset(spec, seed=spawn_seed(seed, "vae-corpus", i))
         rng = spawn_rng(seed, "vae-corpus-actions", i)
-        rows.append(obs)
+        add(obs)
         while not state.done:
             res = envs.step(spec, state, int(rng.integers(spec.action_count)))
-            rows.append(res.observation)
-    return np.asarray(rows, dtype=np.float64)
+            add(res.observation)
+    return np.asarray(distinct, dtype=np.float64)[order]

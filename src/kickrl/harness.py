@@ -86,6 +86,7 @@ class ReplayBuffer:
         self._table: np.ndarray | None = None  # interned observations, first _rows live
         self._rows = 0
         self._ids: dict[bytes, int] = {}
+        self._last_key = b""  # the previous push's next_obs, as _ids keys it
         self._size = 0
         self._cursor = 0
 
@@ -93,8 +94,12 @@ class ReplayBuffer:
         if self._rows + 2 > TABLE_ROWS_PER_SLOT * self.capacity:
             self._compact()
         slot = self._cursor
-        self._obs_id[slot] = self._intern(tr.obs)
-        self._next_obs_id[slot] = self._intern(tr.next_obs)
+        key = self._key(tr.obs)
+        if key == self._last_key:  # the loop's obs is the previous next_obs:
+            key = self._last_key  # a key whose hash is already computed
+        self._obs_id[slot] = self._intern(key, tr.obs)
+        self._last_key = self._key(tr.next_obs)
+        self._next_obs_id[slot] = self._intern(self._last_key, tr.next_obs)
         self._action[slot] = tr.action
         self._reward[slot] = tr.reward
         self._terminated[slot] = tr.terminated
@@ -103,16 +108,20 @@ class ReplayBuffer:
         self._cursor = (slot + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def _intern(self, obs: np.ndarray) -> int:
+    def _key(self, obs: np.ndarray) -> bytes:
+        """The observation's float64 bytes, once its shape is checked."""
         row = np.ascontiguousarray(obs, dtype=np.float64)
         if self._table is None:
             first = min(_FIRST_TABLE_ROWS, TABLE_ROWS_PER_SLOT * self.capacity)
             self._table = np.empty((first, *row.shape))
         elif row.shape != self._table.shape[1:]:
             raise ShapeError(f"observation shape {row.shape} != {self._table.shape[1:]}")
-        key = row.tobytes()
+        return row.tobytes()
+
+    def _intern(self, key: bytes, obs: np.ndarray) -> int:
         row_id = self._ids.get(key)
         if row_id is None:
+            row = np.ascontiguousarray(obs, dtype=np.float64)
             if self._rows == len(self._table):
                 grown = np.empty((min(2 * self._rows, TABLE_ROWS_PER_SLOT * self.capacity),
                                   *row.shape))

@@ -143,11 +143,11 @@ def _net_input(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _layer_output(layer: Layer, h: np.ndarray) -> np.ndarray:
-    """One layer on a batch, as a new array.  The bias add and activation run
-    in place on the gemm's result; each is the same elementwise operation as
-    its out-of-place form, so the bytes equal ``act(h @ W + b)``."""
-    z = h @ layer.weights
+def _layer_output(layer: Layer, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One layer on a batch, as a new array or in ``out``.  The bias add and
+    activation run in place on the gemm's result; each is the same elementwise
+    operation as its out-of-place form, so the bytes equal ``act(h @ W + b)``."""
+    z = np.matmul(h, layer.weights, out=out)
     z += layer.biases
     if layer.activation == "relu":
         np.maximum(z, 0.0, out=z)
@@ -158,13 +158,19 @@ def _layer_output(layer: Layer, h: np.ndarray) -> np.ndarray:
     return z
 
 
-def forward(net: DenseNet, batch: np.ndarray) -> Activations:
-    """Run the net on a batch of rows, retaining every layer output."""
+def forward(net: DenseNet, batch: np.ndarray, work: AdamState | None = None) -> Activations:
+    """Run the net on a batch of rows, retaining every layer output.
+
+    With ``work`` (the net's AdamState) the outputs are written into its
+    ``rows`` instead of new arrays, so they hold until the next forward with
+    the same ``work``: for the forward a training step backpropagates.
+    """
     x = _net_input(net, batch)
     outputs: list[np.ndarray] = []
     h = x
-    for layer in net.layers:
-        h = _layer_output(layer, h)
+    for i, layer in enumerate(net.layers):
+        out = None if work is None else work.rows(f"out{i}", len(x), layer.weights.shape[1])
+        h = _layer_output(layer, h, out)
         outputs.append(h)
     return Activations(inputs=x, outputs=outputs)
 
@@ -223,7 +229,7 @@ class RowMemo:
 
 def backward(
     net: DenseNet, acts: Activations, output_gradient: np.ndarray,
-    input_gradient: bool = True,
+    input_gradient: bool = True, work: AdamState | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backpropagate per-sample output gradients through the net.
 
@@ -232,6 +238,11 @@ def backward(
     the batch (aligned with param_arrays()); the returned input gradient stays
     per-sample so nets can be chained.  With ``input_gradient=False`` it is
     not computed and comes back as None.
+
+    Without ``work`` every returned array is new.  With ``work`` (the net's
+    AdamState) the parameter gradients are its ``grads`` and the per-sample
+    gradients live in its ``rows``, overwritten by the next backward with the
+    same ``work``; the bytes are the same either way.
     """
     g = _as_batch(output_gradient)
     if len(acts.outputs) != len(net.layers):
@@ -240,23 +251,31 @@ def backward(
         raise ShapeError(
             f"output gradient shape {g.shape} != activations shape {acts.final.shape}"
         )
+    if work is not None and len(work.grads) != 2 * len(net.layers):
+        raise ShapeError("work buffers do not match this net")
     batch = g.shape[0]
     grads: list[np.ndarray] = [None] * (2 * len(net.layers))  # type: ignore[list-item]
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        out = acts.outputs[i]
+        y = acts.outputs[i]
         if layer.activation == "relu":
-            g = g * (out > 0.0)
+            # below the top layer g is backward's own array, so it is masked in place
+            g = np.multiply(g, y > 0.0, out=g if i < len(net.layers) - 1 else None)
         elif layer.activation == "softmax":
-            g = out * (g - (g * out).sum(axis=1, keepdims=True))
+            g = y * (g - (g * y).sum(axis=1, keepdims=True))
         prev = acts.inputs if i == 0 else acts.outputs[i - 1]
         if prev.shape[1] != layer.weights.shape[0]:
             raise ShapeError("stale activations: layer input width changed")
-        grads[2 * i] = prev.T @ g / batch
-        grads[2 * i + 1] = g.mean(axis=0)
+        # prev.T @ g / batch and g.mean(axis=0), which is add.reduce, then a division
+        grads[2 * i] = np.matmul(prev.T, g, out=None if work is None else work.grads[2 * i])
+        grads[2 * i] /= batch
+        grads[2 * i + 1] = np.add.reduce(g, axis=0,
+                                         out=None if work is None else work.grads[2 * i + 1])
+        grads[2 * i + 1] /= batch
         if i == 0 and not input_gradient:
             return grads, None
-        g = g @ layer.weights.T
+        g = np.matmul(g, layer.weights.T, out=None if work is None
+                      else work.rows(f"dx{i}", batch, layer.weights.shape[0]))
     return grads, g
 
 
@@ -271,10 +290,29 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    _scratch: list[np.ndarray] = field(init=False, repr=False)  # adam_step's work buffers
+    # adam_step's work buffer: it updates one parameter at a time, so the
+    # largest parameter's size serves them all.
+    _scratch: np.ndarray = field(init=False, repr=False)
+    # forward(work=) and backward(work=) write a training step's arrays into
+    # grads and rows(), so that a step allocates nothing of a parameter's or
+    # a batch's size and its speed does not depend on the heap's history.
+    grads: list[np.ndarray] = field(init=False, repr=False)
+    _rows: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._scratch = [np.zeros_like(m) for m in self.m]
+        self._scratch = np.zeros(max((m.size for m in self.m), default=0))
+        self.grads = [np.zeros_like(m) for m in self.m]
+        self._rows = {}
+
+    def rows(self, name: str, n: int, width: int) -> np.ndarray:
+        """The first ``n`` rows of the float64 work array kept under ``name``
+        for as long as this state: a training step's batch-sized arrays.  It
+        is reallocated only for a larger ``n`` or another width, so a shorter
+        last batch is a slice.  Its contents are whatever was last written."""
+        buf = self._rows.get(name)
+        if buf is None or len(buf) < n or buf.shape[1] != width:
+            buf = self._rows[name] = np.empty((n, width))
+        return buf[:n]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], learning_rate: float = 1e-4) -> "AdamState":
@@ -290,9 +328,9 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
     Non-finite gradients reject the whole update before any mutation.
     An all-zero gradient is a complete no-op regardless of accumulated
-    state (momentum does not coast).  Updates run through preallocated
-    scratch buffers; this sits on the training hot path and temporary
-    allocations dominate otherwise.
+    state (momentum does not coast).  Updates run through the state's
+    preallocated scratch buffer; this sits on the training hot path and
+    temporary allocations dominate otherwise.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads and Adam state are misaligned")
@@ -311,7 +349,8 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    for p, g, m, v, scratch in zip(params, grads, state.m, state.v, state._scratch):
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        scratch = state._scratch[:p.size].reshape(p.shape)
         m *= b1
         np.multiply(g, 1.0 - b1, out=scratch)
         m += scratch

@@ -771,9 +771,9 @@ def test_awac_forwards_the_critic_over_the_batch_once(monkeypatch) -> None:
     seen = []
     real_forward = agents.forward
 
-    def spy(net, x):
+    def spy(net, x, **kwargs):
         seen.append((net is critic, x is batch.latents))
-        return real_forward(net, x)
+        return real_forward(net, x, **kwargs)
 
     monkeypatch.setattr(agents, "forward", spy)
     agents.awac_update(batch, actor, critic, critic.copy(), 0.3,

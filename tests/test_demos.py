@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
@@ -294,3 +295,24 @@ def test_zeros_of_either_sign_load_as_different_arrays(tmp_path) -> None:
     assert np.array_equal(first.obs, second.obs)  # equal as numbers, apart as bytes
     assert np.signbit(first.obs).tolist() == [False, True, False, False]
     assert np.signbit(second.obs).tolist() == [True, False, False, False]
+
+
+@pytest.mark.parametrize("make_spec, distinct, sha256", [
+    (envs.make_room_nav, 64, "d5c10f0221a689692ca9af6aafebdd35ba6c2d4758cf3aaeca55f189cfb9aa7e"),
+    (envs.make_four_rooms, 102, "a478d78a630c73d88c0641568aa0f411a8e7c8218f604271928baf6cbf2ccb36"),
+], ids=["room-nav", "four-rooms"])
+def test_generated_store_shares_one_read_only_array_per_distinct_observation(
+        make_spec, distinct, sha256, tmp_path) -> None:
+    """The benchmark's stores; the hashes are those of the files save_demos
+    wrote before generation shared arrays between transitions."""
+    store = _bench_store(make_spec)
+    arrays = {id(arr): arr for tr in store.transitions() for arr in (tr.obs, tr.next_obs)}
+    assert len(arrays) == len({arr.tobytes() for arr in arrays.values()}) == distinct
+    for trajectory in store.trajectories:
+        for tr, following in zip(trajectory.transitions, trajectory.transitions[1:]):
+            assert following.obs is tr.next_obs
+    with pytest.raises(ValueError, match="read-only"):
+        next(store.transitions()).obs[0] = 1.0
+    path = tmp_path / "bench.demos.jsonl"
+    demos.save_demos(store, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

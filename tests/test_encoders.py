@@ -215,3 +215,38 @@ def test_encoded_latents_can_be_mutated_by_the_caller() -> None:
         vae.encode(batch[0])[:] = 99.0
     assert np.array_equal(vae.encode_batch(batch), expected)
     assert np.array_equal(vae.encode(batch[0]), _fresh_latents(vae, batch[:1])[0])
+
+
+# -- the pre-training corpus ------------------------------------------------------------
+
+
+def _reference_random_observations(spec, n_traj: int, seed: int) -> np.ndarray:
+    """collect_random_observations as it was before it held each distinct
+    observation once: one array per row, stacked at the end."""
+    from kickrl import envs
+    from kickrl.seeding import spawn_rng, spawn_seed
+
+    rows = []
+    for i in range(n_traj):
+        state, obs = envs.reset(spec, seed=spawn_seed(seed, "vae-corpus", i))
+        rng = spawn_rng(seed, "vae-corpus-actions", i)
+        rows.append(obs)
+        while not state.done:
+            res = envs.step(spec, state, int(rng.integers(spec.action_count)))
+            rows.append(res.observation)
+    return np.asarray(rows, dtype=np.float64)
+
+
+@pytest.mark.parametrize("preset, n_traj, seed", [("four-rooms-nav", 50, 0),  # the bench's
+                                                  ("room-nav", 7, 3), ("collect-grid", 4, 5)])
+def test_random_corpus_equals_the_list_stacking_version(preset, n_traj, seed) -> None:
+    from kickrl import envs
+
+    spec = envs.PRESETS[preset]()
+    corpus = encoders.collect_random_observations(spec, n_traj, seed)
+    reference = _reference_random_observations(spec, n_traj, seed)
+    assert corpus.dtype == reference.dtype and corpus.shape == reference.shape
+    assert corpus.tobytes() == reference.tobytes()
+    assert corpus.flags.c_contiguous and corpus.flags.writeable
+    corpus[0, 0] = 7.0  # the rows are the caller's: no two share memory
+    assert np.array_equal(corpus[1:], reference[1:])

@@ -1,5 +1,6 @@
-"""Memory held by the two largest structures of a run, measured with
-tracemalloc (deterministic, unlike the resident set size)."""
+"""Memory held by the largest structures of a run, and the transient memory
+of a gradient step, measured with tracemalloc (deterministic, unlike the
+resident set size)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kickrl import agents, demos, envs, harness, nets, snapshots
+from kickrl import agents, demos, encoders, envs, harness, nets, snapshots
 from kickrl.demos import Transition
 from kickrl.retrieval import LatentIndex
 from kickrl.seeding import spawn_seed
@@ -128,3 +129,67 @@ def test_writing_a_snapshot_peaks_no_higher_than_formatting_each_float(tmp_path)
                                                                arrays))
     assert sum(arr.size for arr in arrays.values()) == 99_844
     assert peak <= reference_peak
+
+
+def _step_peak(step, steps: int = 4) -> int:
+    """Peak bytes that ``steps`` calls of ``step`` allocate on top of what is
+    held after one warm-up call (which sizes every buffer)."""
+    tracemalloc.start()
+    try:
+        step()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        for _ in range(steps):
+            step()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def _batch(rng: np.random.Generator, rows: int, dim: int) -> agents.ArrayBatch:
+    return agents.ArrayBatch(latents=rng.standard_normal((rows, dim)),
+                             actions=rng.integers(0, 4, rows),
+                             rewards=rng.standard_normal(rows),
+                             next_latents=rng.standard_normal((rows, dim)),
+                             terminated=np.zeros(rows), truncated=np.zeros(rows))
+
+
+# A gradient step whose arrays of a parameter's or a batch's size live in its
+# optimiser allocates only small temporaries, so its speed cannot depend on how
+# the allocator's heap was left.  One new 256 x 256 gradient is 512 KiB.
+
+
+def test_a_cdql_td_step_allocates_under_128_kib() -> None:
+    """Room-nav: 128-wide latents, two hidden layers of 256, batch 32.  The
+    step's largest temporaries are 64 KiB (a 32 x 256 layer output); with new
+    gradient arrays it peaked at 1,000,218 B.  Measured: 76,952 B."""
+    rng = np.random.default_rng(20)
+    learner = agents.QLearner(128, 4, agents.defaults_for("cdql"), 1)
+    batch, targets = _batch(rng, 32, 128), rng.standard_normal(32)
+    peak = _step_peak(lambda: agents.td_step(batch, targets, learner.q, learner.opt))
+    assert peak < 128 * 1024
+
+
+def test_a_teacher_bc_step_allocates_under_128_kib() -> None:
+    """The BCLearner that clones qdagger's teacher, on a room-nav batch of
+    32.  With new gradient arrays it peaked at 1,001,786 B.  Measured: 78,416 B."""
+    learner = agents.BCLearner(128, 4, agents.defaults_for("bc"), 1, init_tag="teacher")
+    batch = _batch(np.random.default_rng(21), 32, 128)
+    assert _step_peak(lambda: learner.train_batch(batch)) < 128 * 1024
+
+
+@pytest.mark.parametrize("rows", [128, 123])  # a full batch and the bench corpus's tail
+def test_a_vae_train_step_allocates_under_256_kib(rows) -> None:
+    """The bench's four-rooms VAE: 242 inputs, hidden (64, 64), 16 latents.
+    A (128, 242) array is 242 KiB; the step's largest temporaries left are
+    (rows, 16) and (rows, 32) arrays of the loss.  With new arrays it peaked
+    at 1,459,312 B (128 rows) and 1,420,504 B (123 rows).  Measured: 195,064 B
+    and 187,432 B."""
+    vae = encoders.new_vae(242, 16, seed=0)
+    enc_opt = nets.AdamState.for_params(vae.enc_net.param_arrays(), 3e-4)
+    dec_opt = nets.AdamState.for_params(vae.dec_net.param_arrays(), 3e-4)
+    rng = np.random.default_rng(22)
+    full, batch = rng.random((128, 242)), rng.random((rows, 242))
+    encoders.vae_train_step(vae, full, 0.0, enc_opt, dec_opt)  # sizes the buffers to 128 rows
+    peak = _step_peak(lambda: encoders.vae_train_step(vae, batch, 5e-8, enc_opt, dec_opt))
+    assert peak < 256 * 1024

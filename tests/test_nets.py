@@ -474,3 +474,77 @@ def test_backward_can_skip_the_input_gradient() -> None:
     skipped, none = nets.backward(net, acts, g, input_gradient=False)
     assert none is None and input_grad.shape == (5, 4)
     assert all(np.array_equal(a, b) for a, b in zip(grads, skipped))
+
+
+# -- work buffers ----------------------------------------------------------------
+
+
+def _relu_net(seed: int) -> nets.DenseNet:
+    return small_net(seed, dims=[4, 8, 8, 3], activations=["relu", "relu", "linear"])
+
+
+def test_backward_without_work_returns_new_arrays_on_every_call() -> None:
+    """Callers such as grad_check keep earlier results while they call again."""
+    net = _relu_net(84)
+    x = np.random.default_rng(85).standard_normal((5, 4))
+    acts = nets.forward(net, x)
+    g = np.random.default_rng(86).standard_normal((5, 3))
+    g_before = g.copy()
+    first, first_input = nets.backward(net, acts, g)
+    second, second_input = nets.backward(net, acts, g)
+    results = [*first, first_input, *second, second_input]
+    for i, a in enumerate(results):
+        for b in results[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert not any(np.shares_memory(r, g) or np.shares_memory(r, x) for r in results)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert np.array_equal(g, g_before)  # the caller's output gradient is not written
+
+
+def test_forward_and_backward_with_work_give_the_new_arrays_bytes() -> None:
+    net = _relu_net(87)
+    opt = nets.AdamState.for_params(net.param_arrays())
+    rng = np.random.default_rng(88)
+    for rows in (6, 6, 4):  # a shorter batch reads a slice of the same buffers
+        x = rng.standard_normal((rows, 4))
+        g = rng.standard_normal((rows, 3))
+        fresh = nets.forward(net, x)
+        fresh_grads, fresh_input = nets.backward(net, fresh, g)
+        acts = nets.forward(net, x, work=opt)
+        grads, input_grad = nets.backward(net, acts, g, work=opt)
+        assert grads is not fresh_grads
+        assert all(a is b for a, b in zip(grads, opt.grads))
+        for a, b in zip([*acts.outputs, *grads, input_grad],
+                        [*fresh.outputs, *fresh_grads, fresh_input]):
+            assert a.tobytes() == b.tobytes()
+        nets.adam_step(net.param_arrays(), grads, opt)
+
+
+def test_grad_check_passes_after_a_buffered_step_on_the_same_net() -> None:
+    rng = np.random.default_rng(89)
+    net = _relu_net(90)
+    opt = nets.AdamState.for_params(net.param_arrays(), learning_rate=1e-2)
+    x, actions, targets = (rng.standard_normal((6, 4)), rng.integers(0, 3, size=6),
+                           rng.standard_normal(6))
+    acts = nets.forward(net, x, work=opt)
+    grads, _ = nets.backward(net, acts, rng.standard_normal((6, 3)), work=opt)
+    nets.adam_step(net.param_arrays(), grads, opt)
+    assert nets.grad_check(net, _td_like_loss(x, actions, targets), tolerance=1e-4).passed
+
+
+def test_rows_grow_for_a_larger_batch_and_slice_for_a_smaller_one() -> None:
+    opt = nets.AdamState.for_params(small_net(91).param_arrays())
+    big = opt.rows("a", 8, 3)
+    assert opt.rows("a", 5, 3).base is big.base
+    assert opt.rows("a", 5, 3).flags.c_contiguous
+    assert opt.rows("a", 9, 3).shape == (9, 3)
+    assert opt.rows("a", 9, 2).shape == (9, 2)
+    assert opt.rows("b", 9, 2).base is not opt.rows("a", 9, 2).base
+
+
+def test_backward_rejects_work_of_another_net() -> None:
+    net = _relu_net(92)
+    acts = nets.forward(net, np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        nets.backward(net, acts, np.zeros((2, 3)),
+                      work=nets.AdamState.for_params(small_net(93).param_arrays()))
