@@ -16,13 +16,14 @@ Loss conventions (LossBreakdown.total):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .demos import Transition
-from .nets import (Activations, AdamState, DenseNet, RowMemo, adam_step, backward, forward,
-                   forward_values, mlp, net_to_arrays, soft_update)
+from .nets import (Activations, AdamState, DenseNet, RowMemo, RowTable, adam_step, backward,
+                   forward, forward_values, mlp, net_to_arrays, soft_update)
 from .retrieval import (METRICS, LatentIndex, expert_estimate, knn, knn_batch,
                         neighbor_action_counts)
 from .seeding import spawn_rng
@@ -57,9 +58,13 @@ class Hyperparams:
     knn_metric: str = "l2"
 
     def __post_init__(self) -> None:
+        # every check below is written so that NaN fails it
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError("lam must be >= 0")
         if not (0.0 <= self.eps_start <= 1.0 and 0.0 <= self.eps_end <= 1.0):
             raise ValueError("epsilon endpoints must lie in [0, 1]")
@@ -70,17 +75,17 @@ class Hyperparams:
         if self.knn_metric not in METRICS:
             raise ValueError(f"unknown knn_metric {self.knn_metric!r} (choose from {METRICS})")
         for name in ("her_extra", "offline_steps", "exploration_fraction"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("learning_rate", "distill_temperature"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("buffer_capacity", "batch_size", "target_update_period",
                      "train_frequency", "k_neighbors", "teacher_steps"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
-        if any(h < 1 for h in self.hidden):
+        if not all(h >= 1 for h in self.hidden):
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
 
 
@@ -554,7 +559,8 @@ class AdversarialKickstartLearner(QLearner):
         if len(index) == 0:
             raise ValueError("cdql-ae needs a non-empty retrieval index")
         self.index = index
-        self._neighbor_memo: dict[bytes, np.ndarray] = {}
+        self._searched = RowTable()  # the latents knn_batch has searched, by id
+        self._neighbor_rows = np.empty((0, min(hp.k_neighbors, len(index))), dtype=np.int64)
         self._demo_q: np.ndarray | None = None
         self._refresh_demo_cache()
 
@@ -572,21 +578,17 @@ class AdversarialKickstartLearner(QLearner):
         """(B, k) neighbour rows of each batch latent, searched once per latent.
 
         A latent's neighbours depend only on the fixed index and the latent
-        itself, so they are memoised by its bytes and only latents not seen
-        before go to knn_batch, each once.  The memo holds one entry per
-        distinct latent the run encodes: at most the environment's number of
-        distinct non-terminal observations (63 on room-nav).
-        """
-        keys = [latent.tobytes() for latent in batch.latents]
-        missing = {}
-        for row, key in enumerate(keys):
-            if key not in self._neighbor_memo:
-                missing.setdefault(key, row)
-        if missing:
-            idx, _ = knn_batch(self.index, batch.latents[list(missing.values())],
+        itself, so row i of ``_neighbor_rows`` holds those of latent i of
+        ``_searched``, and only latents not seen before go to knn_batch, each
+        once: at most the environment's number of distinct non-terminal
+        observations (63 on room-nav)."""
+        ids = self._searched.add_all(batch.latents)
+        searched = len(self._neighbor_rows)
+        if len(self._searched) > searched:
+            idx, _ = knn_batch(self.index, self._searched.rows[searched:],
                                self.hp.k_neighbors, metric=self.hp.knn_metric)
-            self._neighbor_memo.update(zip(missing, idx))
-        return np.stack([self._neighbor_memo[key] for key in keys])
+            self._neighbor_rows = np.concatenate([self._neighbor_rows, idx])
+        return self._neighbor_rows[ids]
 
     def z_for_batch(self, batch: ArrayBatch, neighbor_idx: np.ndarray) -> np.ndarray:
         return self._demo_q[neighbor_idx].mean(axis=1) - batch.rewards

@@ -9,6 +9,7 @@ originating environment.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -186,12 +187,17 @@ def save_demos(store: DemoStore, path: str) -> None:
         for ti, traj in enumerate(store.trajectories) for tr in traj.transitions))
 
 
-def _shared(key: bytes, shared: dict[bytes, np.ndarray]) -> np.ndarray:
+def _shared(key: bytes, shared: dict[bytes, np.ndarray], lineno: int = 0,
+            name: str = "obs") -> np.ndarray:
     """The store's one array over these float64 bytes (so 0.0 and -0.0 stay
-    apart).  It views the immutable ``key``, so it is read-only."""
+    apart).  It views the immutable ``key``, so it is read-only.  A new one
+    that is not finite is a FormatError naming ``lineno``, the line read."""
     found = shared.get(key)
     if found is None:
-        found = shared[key] = np.frombuffer(key, dtype=np.float64)
+        found = np.frombuffer(key, dtype=np.float64)
+        if not np.isfinite(found).all():
+            raise FormatError(f"line {lineno}: {name} holds a non-finite value")
+        shared[key] = found
     return found
 
 
@@ -227,8 +233,9 @@ def load_demos(path: str) -> DemoStore:
                 f"line {lineno}: transition fields wrong "
                 f"(missing={sorted(missing)}, extra={sorted(extra)})"
             )
-        obs = _shared(field_float_bytes(row["obs"], lineno, "obs"), shared)
-        next_obs = _shared(field_float_bytes(row["next_obs"], lineno, "next_obs"), shared)
+        obs = _shared(field_float_bytes(row["obs"], lineno, "obs"), shared, lineno)
+        next_obs = _shared(field_float_bytes(row["next_obs"], lineno, "next_obs"), shared,
+                           lineno, "next_obs")
         if obs.shape != (obs_dim,) or next_obs.shape != (obs_dim,):
             raise FormatError(
                 f"line {lineno}: observation length != header obs_dim {obs_dim}"
@@ -238,13 +245,14 @@ def load_demos(path: str) -> DemoStore:
             raise FormatError(
                 f"line {lineno}: action {action} outside [0, {action_count})"
             )
+        reward = field_number(row["reward"], lineno, "reward")
+        if not math.isfinite(reward):
+            raise FormatError(f"line {lineno}: reward {reward!r} is not finite")
         terminated, truncated = row["terminated"], row["truncated"]
         if type(terminated) is not bool or type(truncated) is not bool:
             raise FormatError(f"line {lineno}: terminated or truncated is not a boolean")
         by_traj.setdefault(field_int(row["traj"], lineno, "traj"), []).append(Transition(
-            obs=obs, action=action,
-            reward=field_number(row["reward"], lineno, "reward"),
-            next_obs=next_obs, terminated=terminated,
+            obs=obs, action=action, reward=reward, next_obs=next_obs, terminated=terminated,
             truncated=truncated, t=field_int(row["t"], lineno, "t"),
         ))
         count += 1

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .nets import (AdamState, DenseNet, RowMemo, adam_step, backward, forward, forward_values,
-                   mlp, net_from_arrays, net_to_arrays)
-from .seeding import spawn_rng
+from .errors import FormatError, ShapeError
+from .nets import (AdamState, DenseNet, RowMemo, RowTable, adam_step, backward, forward,
+                   forward_values, mlp, net_from_arrays, net_to_arrays)
+from .seeding import spawn_rng, spawn_seed
+from .snapshots import load_arrays, meta_field, save_arrays
 
 
 @dataclass
@@ -273,30 +274,38 @@ def encoder_to_arrays(enc: Encoder) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def encoder_from_arrays(arrays: dict[str, np.ndarray], meta: dict) -> Encoder:
-    kind = meta.get("kind")
+    """Rebuild the encoder that encoder_to_arrays flattened.  Metadata or
+    arrays that do not describe one are a FormatError naming line 1, the
+    header of the file they come from."""
+    kind = meta_field(meta, "kind", str)
     if kind == "identity":
-        return IdentityEncoder(int(meta["dim"]))
+        dim = meta_field(meta, "dim", int)
+        if dim < 1:
+            raise FormatError(f"line 1: identity encoder dim {dim} < 1")
+        return IdentityEncoder(dim)
     if kind == "standardize":
-        return StandardizeEncoder(arrays["mean"], arrays["std"])
+        try:
+            return StandardizeEncoder(arrays["mean"], arrays["std"])
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"line 1: no standardizer in the arrays ({exc})") from None
     if kind == "vae":
-        return DenseVaeEncoder(net_from_arrays(arrays, "enc", meta["enc_activations"]),
-                               net_from_arrays(arrays, "dec", meta["dec_activations"]),
-                               int(meta["latent_dim"]))
-    raise ValueError(f"unknown encoder kind {kind!r}")
+        enc = net_from_arrays(arrays, "enc", meta_field(meta, "enc_activations", list))
+        dec = net_from_arrays(arrays, "dec", meta_field(meta, "dec_activations", list))
+        try:
+            return DenseVaeEncoder(enc, dec, meta_field(meta, "latent_dim", int))
+        except ShapeError as exc:
+            raise FormatError(f"line 1: {exc}") from None
+    raise FormatError(f"line 1: unknown encoder kind {kind!r}")
 
 
 def save_encoder(enc: Encoder, path: str) -> None:
-    from .snapshots import save_arrays
-
     arrays, meta = encoder_to_arrays(enc)
     save_arrays(path, arrays, meta={"encoder": meta})
 
 
 def load_encoder(path: str) -> Encoder:
-    from .snapshots import load_arrays
-
     arrays, meta = load_arrays(path)
-    return encoder_from_arrays(arrays, meta["encoder"])
+    return encoder_from_arrays(arrays, meta_field(meta, "encoder", dict))
 
 
 def collect_random_observations(spec, n_traj: int = 50, seed: int = 0) -> np.ndarray:
@@ -307,25 +316,12 @@ def collect_random_observations(spec, n_traj: int = 50, seed: int = 0) -> np.nda
     gathered from them at the end."""
     from . import envs  # deferred: envs has no need to exist for pure-VAE use
 
-    from .seeding import spawn_seed
-
-    ids: dict[bytes, int] = {}  # float64 bytes -> row of `distinct`
-    distinct: list[np.ndarray] = []
-    order: list[int] = []
-
-    def add(obs: np.ndarray) -> None:
-        row = np.asarray(obs, dtype=np.float64)
-        key = row.tobytes()
-        if key not in ids:
-            ids[key] = len(distinct)
-            distinct.append(row)
-        order.append(ids[key])
-
+    distinct, order = RowTable(), []
     for i in range(n_traj):
         state, obs = envs.reset(spec, seed=spawn_seed(seed, "vae-corpus", i))
         rng = spawn_rng(seed, "vae-corpus-actions", i)
-        add(obs)
+        order.append(distinct.add(obs))
         while not state.done:
             res = envs.step(spec, state, int(rng.integers(spec.action_count)))
-            add(res.observation)
-    return np.asarray(distinct, dtype=np.float64)[order]
+            order.append(distinct.add(res.observation))
+    return distinct.rows[order]

@@ -191,7 +191,6 @@ class EnvState:
     position: Cell
     items: set[Cell]
     t: int
-    rng: np.random.Generator
     done: bool = False
 
 
@@ -208,7 +207,7 @@ def reset(spec: GridWorldSpec, seed: int) -> tuple[EnvState, np.ndarray]:
     rng = np.random.default_rng(seed)
     cells = spec.start_cells()
     pos = cells[int(rng.integers(len(cells)))]
-    state = EnvState(position=pos, items=set(spec.items), t=0, rng=rng)
+    state = EnvState(position=pos, items=set(spec.items), t=0)
     return state, observation(spec, state)
 
 

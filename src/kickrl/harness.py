@@ -42,11 +42,11 @@ from .encoders import (
     load_encoder,
 )
 from .envs import GridEnv, GridWorldSpec, PRESETS, episode_success
-from .errors import ConfigError, ShapeError
-from .nets import DenseNet, net_from_arrays
+from .errors import ConfigError
+from .nets import DenseNet, RowTable, net_from_arrays
 from .retrieval import build_index
 from .seeding import spawn_rng, spawn_seed
-from .snapshots import load_arrays, save_arrays
+from .snapshots import load_arrays, meta_field, save_arrays
 
 METRICS_HEADER = ("step,mean_return,std_return,success_rate,epsilon,"
                   "loss_td,loss_ae,loss_distill,loss_actor,wall_secs")
@@ -54,96 +54,47 @@ METRICS_HEADER = ("step,mean_return,std_return,success_rate,epsilon,"
 TEACHER_BC_LEARNING_RATE = 3e-4
 
 
-# Observation rows the replay table may hold per slot before it is compacted.
-# A slot names at most two rows, so a compaction frees at least half the table.
-TABLE_ROWS_PER_SLOT = 4
-_FIRST_TABLE_ROWS = 64
+TABLE_ROWS_PER_SLOT = 4  # replay table rows per slot before compacting, which frees half or more
 
 
 class ReplayBuffer:
     """Fixed-capacity ring of transitions; oldest entries evicted first.
 
-    A slot is one row of seven columns: obs_id, next_obs_id, action, reward,
-    terminated, truncated and t.  Observations are interned: a table stores
-    each distinct observation once (by bytes) and slots hold its row id.
-    Grid-world observations repeat (room-nav has 63 distinct ones), so the
-    table stays small.  Observations that never repeat grow it to at most
-    ``TABLE_ROWS_PER_SLOT * capacity`` rows; it is then compacted to the rows
-    that live slots name.
-    """
+    A slot is one row of the columns obs_ids (the ids of obs and next_obs),
+    action, reward, terminated, truncated and t.  Observations are interned in
+    the RowTable ``observations``.  Grid-world observations repeat (room-nav
+    has 63 distinct ones), so it stays small.  Observations that never repeat
+    grow it to at most ``TABLE_ROWS_PER_SLOT * capacity`` rows; it is then
+    compacted to the rows that live slots name."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._obs_id = np.empty(capacity, dtype=np.int64)
-        self._next_obs_id = np.empty(capacity, dtype=np.int64)
+        self._obs_ids = np.empty((capacity, 2), dtype=np.int64)
         self._action = np.empty(capacity, dtype=np.int64)
         self._reward = np.empty(capacity, dtype=np.float64)
         self._terminated = np.empty(capacity, dtype=bool)
         self._truncated = np.empty(capacity, dtype=bool)
         self._t = np.empty(capacity, dtype=np.int64)
-        self._table: np.ndarray | None = None  # interned observations, first _rows live
-        self._rows = 0
-        self._ids: dict[bytes, int] = {}
-        self._last_key = b""  # the previous push's next_obs, as _ids keys it
+        self.observations = RowTable(max_rows=TABLE_ROWS_PER_SLOT * capacity)
         self._size = 0
         self._cursor = 0
 
     def push(self, tr: Transition) -> None:
-        if self._rows + 2 > TABLE_ROWS_PER_SLOT * self.capacity:
-            self._compact()
+        n = self._size
+        if len(self.observations) + 2 > self.observations.max_rows:
+            self._obs_ids[:n] = self.observations.compact(self._obs_ids[:n])[self._obs_ids[:n]]
         slot = self._cursor
-        key = self._key(tr.obs)
-        if key == self._last_key:  # the loop's obs is the previous next_obs:
-            key = self._last_key  # a key whose hash is already computed
-        self._obs_id[slot] = self._intern(key, tr.obs)
-        self._last_key = self._key(tr.next_obs)
-        self._next_obs_id[slot] = self._intern(self._last_key, tr.next_obs)
+        self._obs_ids[slot, 0] = self.observations.add(tr.obs)
+        self._obs_ids[slot, 1] = self.observations.add(tr.next_obs)
         self._action[slot] = tr.action
         self._reward[slot] = tr.reward
         self._terminated[slot] = tr.terminated
         self._truncated[slot] = tr.truncated
         self._t[slot] = tr.t
         self._cursor = (slot + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-
-    def _key(self, obs: np.ndarray) -> bytes:
-        """The observation's float64 bytes, once its shape is checked."""
-        row = np.ascontiguousarray(obs, dtype=np.float64)
-        if self._table is None:
-            first = min(_FIRST_TABLE_ROWS, TABLE_ROWS_PER_SLOT * self.capacity)
-            self._table = np.empty((first, *row.shape))
-        elif row.shape != self._table.shape[1:]:
-            raise ShapeError(f"observation shape {row.shape} != {self._table.shape[1:]}")
-        return row.tobytes()
-
-    def _intern(self, key: bytes, obs: np.ndarray) -> int:
-        row_id = self._ids.get(key)
-        if row_id is None:
-            row = np.ascontiguousarray(obs, dtype=np.float64)
-            if self._rows == len(self._table):
-                grown = np.empty((min(2 * self._rows, TABLE_ROWS_PER_SLOT * self.capacity),
-                                  *row.shape))
-                grown[:self._rows] = self._table
-                self._table = grown
-            row_id = self._ids[key] = self._rows
-            self._table[row_id] = row
-            self._rows += 1
-        return row_id
-
-    def _compact(self) -> None:
-        """Keep only the table rows that a slot names, renumbered in order."""
-        n = self._size
-        live = np.unique(np.concatenate([self._obs_id[:n], self._next_obs_id[:n]]))
-        renumber = np.full(self._rows, -1, dtype=np.int64)
-        renumber[live] = np.arange(len(live))
-        self._table[:len(live)] = self._table[live]
-        self._rows = len(live)
-        self._obs_id[:n] = renumber[self._obs_id[:n]]
-        self._next_obs_id[:n] = renumber[self._next_obs_id[:n]]
-        self._ids = {key: int(renumber[row_id]) for key, row_id in self._ids.items()
-                     if renumber[row_id] >= 0}
+        self._size = min(n + 1, self.capacity)
 
     def __len__(self) -> int:
         return self._size
@@ -151,10 +102,10 @@ class ReplayBuffer:
     def __getitem__(self, slot: int) -> Transition:
         slot = range(self._size)[slot]  # IndexError outside the filled slots
         return Transition(
-            obs=self._table[self._obs_id[slot]].copy(),
+            obs=self.observations.rows[self._obs_ids[slot, 0]].copy(),
             action=int(self._action[slot]),
             reward=float(self._reward[slot]),
-            next_obs=self._table[self._next_obs_id[slot]].copy(),
+            next_obs=self.observations.rows[self._obs_ids[slot, 1]].copy(),
             terminated=bool(self._terminated[slot]),
             truncated=bool(self._truncated[slot]),
             t=int(self._t[slot]),
@@ -175,10 +126,10 @@ class ReplayBuffer:
         """The transitions in ``slots`` as a new batch, bitwise equal to
         ``ArrayBatch.from_transitions([self[s] for s in slots], encoder)``."""
         return ArrayBatch(
-            latents=encoder.encode_batch(self._table[self._obs_id[slots]]),
+            latents=encoder.encode_batch(self.observations.rows[self._obs_ids[slots, 0]]),
             actions=self._action[slots],
             rewards=self._reward[slots],
-            next_latents=encoder.encode_batch(self._table[self._next_obs_id[slots]]),
+            next_latents=encoder.encode_batch(self.observations.rows[self._obs_ids[slots, 1]]),
             terminated=self._terminated[slots].astype(np.float64),
             truncated=self._truncated[slots].astype(np.float64),
         )
@@ -237,6 +188,7 @@ class RunConfig:
             raise ConfigError(f"[hyperparams]: {exc}") from None
         if self.agent not in LEARNERS:
             raise ConfigError(f"unknown agent kind {self.agent!r}")
+        self.build_spec()  # the env options are checked by building the env
         if self.total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
         if self.eval_cadence is not None and self.eval_cadence < 1:
@@ -265,7 +217,7 @@ def build_spec(name: str, options: dict) -> GridWorldSpec:
         raise ConfigError(f"unknown env {name!r} (choose from {sorted(PRESETS)})")
     try:
         return PRESETS[name](**options)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # an unknown option, or a value the preset rejects
         raise ConfigError(f"bad env option: {exc}") from None
 
 
@@ -359,7 +311,7 @@ def evaluate(action_fn, spec: GridWorldSpec, n_episodes: int, seed: int) -> Eval
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    actions: dict[bytes, int] = {}
+    seen, actions = RowTable(), []  # the action of each distinct observation, by id
     returns = []
     successes = 0
     for i in range(n_episodes):
@@ -368,10 +320,10 @@ def evaluate(action_fn, spec: GridWorldSpec, n_episodes: int, seed: int) -> Eval
         last_reward = 0.0
         last_terminated = False
         while not state.done:
-            key = obs.tobytes()
-            if key not in actions:
-                actions[key] = action_fn(obs)
-            res = envs.step(spec, state, actions[key])
+            row = seen.add(obs)
+            if row == len(actions):
+                actions.append(action_fn(obs))
+            res = envs.step(spec, state, actions[row])
             ep_return += res.reward
             last_reward = res.reward
             last_terminated = res.terminated
@@ -592,10 +544,11 @@ def save_policy_snapshot(path: str, learner, encoder: Encoder,
 def load_policy_snapshot(path: str):
     """Rebuild (greedy action_fn, meta) from a snapshot file."""
     arrays, meta = load_arrays(path)
-    net = net_from_arrays(arrays, meta["head"], meta["head_activations"])
+    net = net_from_arrays(arrays, meta_field(meta, "head", str),
+                          meta_field(meta, "head_activations", list))
     enc_arrays = {name[len("encoder."):]: arr for name, arr in arrays.items()
                   if name.startswith("encoder.")}
-    encoder = encoder_from_arrays(enc_arrays, meta["encoder"])
+    encoder = encoder_from_arrays(enc_arrays, meta_field(meta, "encoder", dict))
 
     def action_fn(obs: np.ndarray) -> int:
         return greedy_action(net, encoder.encode(obs))

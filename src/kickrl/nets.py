@@ -8,11 +8,12 @@ fixed loss forms in this package are supported: relu, linear, and softmax
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 
 ACTIVATIONS = ("relu", "linear", "softmax")
 
@@ -89,10 +90,18 @@ def net_to_arrays(net: DenseNet, prefix: str) -> dict[str, np.ndarray]:
 
 def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str,
                     activations: list[str]) -> DenseNet:
-    """Rebuild the net that net_to_arrays(net, prefix) flattened."""
-    return DenseNet([Layer(arrays[f"{prefix}.layer{i}.weights"],
-                           arrays[f"{prefix}.layer{i}.biases"], act)
-                     for i, act in enumerate(activations)])
+    """Rebuild the net that net_to_arrays(net, prefix) flattened.  Arrays that
+    do not make such a net with one layer per activation are a FormatError
+    naming line 1, the header of the file that lists them."""
+    try:
+        net = DenseNet([Layer(arrays[f"{prefix}.layer{i}.weights"],
+                              arrays[f"{prefix}.layer{i}.biases"], act)
+                        for i, act in enumerate(activations)])
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"line 1: no {prefix!r} net in the arrays ({exc})") from None
+    if sum(name.startswith(f"{prefix}.") for name in arrays) != 2 * len(activations):
+        raise FormatError(f"line 1: the {prefix!r} arrays are not {len(activations)} layers")
+    return net
 
 
 def init_net(dims: list[int], activations: list[str], rng: np.random.Generator) -> DenseNet:
@@ -225,6 +234,72 @@ class RowMemo:
 
     def clear(self) -> None:
         self._rows.clear()
+
+
+class RowTable:
+    """Distinct float64 rows of one width, numbered 0, 1, ... as they first
+    appear, in a growable (n, d) buffer of at most ``max_rows`` rows (a new row
+    past it is an OverflowError: compact first).  Rows are told apart by their
+    bytes, so 0.0 and -0.0 are two rows; np.unique(axis=0) is ~30x slower on
+    128-wide grid rows.  An add equal to the previous one reuses its key, whose
+    hash is cached: a transition's obs is the previous one's next_obs."""
+
+    def __init__(self, max_rows: int = sys.maxsize):
+        self.max_rows = max_rows
+        self._buf: np.ndarray | None = None
+        self._ids: dict[bytes, int] = {}
+        self._last = b""
+
+    def add(self, row) -> int:
+        """The id of a row, added if it is new."""
+        return self._id(self._checked(row, 1))
+
+    def add_all(self, rows) -> np.ndarray:
+        """The ids of a (B, d) batch's rows, each added if it is new."""
+        return np.fromiter(map(self._id, self._checked(rows, 2)), dtype=np.int64)
+
+    def _checked(self, rows, ndim: int) -> np.ndarray:
+        x = np.ascontiguousarray(rows, dtype=np.float64)
+        if x.ndim == ndim and self._buf is None:
+            self._buf = np.empty((0, x.shape[-1]))
+        if x.ndim != ndim or x.shape[-1] != self._buf.shape[1]:
+            raise ShapeError(f"shape {x.shape} is not {ndim}-D rows of the table's width")
+        return x
+
+    def _id(self, row: np.ndarray) -> int:
+        key = row.tobytes()
+        if key != self._last:  # else keep the last key, whose hash is cached
+            self._last = key
+        row_id = self._ids.get(self._last)
+        if row_id is None:
+            row_id = n = len(self._ids)
+            if n == len(self._buf):
+                size = min(max(64, 2 * n), self.max_rows)
+                if size == n:
+                    raise OverflowError(f"the table is full at {n} rows: compact it")
+                self._buf = np.concatenate([self._buf, np.empty((size - n, row.size))])
+            self._buf[n] = row
+            self._ids[self._last] = n
+        return row_id
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (len, d) rows by id, as a view that a later add or compact may
+        leave stale."""
+        return np.empty((0, 0)) if self._buf is None else self._buf[:len(self._ids)]
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def compact(self, live: np.ndarray) -> np.ndarray:
+        """Keep the rows whose ids are in ``live``, renumbered in id order, and
+        return the map from old ids to new ones, -1 for a dropped row."""
+        kept = np.unique(np.asarray(live, dtype=np.int64))
+        renumber = np.full(len(self._ids), -1, dtype=np.int64)
+        renumber[kept] = np.arange(len(kept))
+        self.rows[:len(kept)] = self.rows[kept]
+        self._ids = {key: int(renumber[i]) for key, i in self._ids.items() if renumber[i] >= 0}
+        return renumber
 
 
 def backward(

@@ -20,6 +20,7 @@ import numpy as np
 from .demos import DemoStore
 from .encoders import Encoder
 from .errors import ShapeError
+from .nets import RowTable
 
 METRICS = ("l2", "cosine")
 
@@ -47,13 +48,9 @@ class LatentIndex:
             raise ShapeError("index arrays are not aligned")
         if n and not np.all(np.isfinite(self.latents)):
             raise ValueError("latents contain non-finite values")
-        # Rows are told apart by their bytes (np.unique(axis=0) is ~30x slower
-        # on 128-wide grid latents); ids follow first appearance, so id j's
-        # first row is the j-th first occurrence.
-        ids: dict[bytes, int] = {}
-        self._row_distinct = np.array([ids.setdefault(latent.tobytes(), len(ids))
-                                       for latent in self.latents], dtype=np.int64)
-        self._distinct = self.latents[np.unique(self._row_distinct, return_index=True)[1]]
+        table = RowTable()
+        self._row_distinct = table.add_all(self.latents)
+        self._distinct = table.rows
 
     def __len__(self) -> int:
         return self.latents.shape[0]

@@ -120,6 +120,16 @@ def field_float_bytes(value, lineno: int, name: str) -> bytes:
     raise FormatError(f"line {lineno}: {name} is not a list of numbers")
 
 
+def meta_field(meta: dict, name: str, kind: type):
+    """``meta[name]`` from a snapshot header's metadata, checked to be a
+    ``kind`` (a bool is not an int); a missing field or another value is a
+    FormatError naming line 1."""
+    value = meta.get(name)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(f"line 1: meta field {name!r} is {value!r}, not a {kind.__name__}")
+    return value
+
+
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     records = read_records(path)
     _, header = next(records)

@@ -76,4 +76,4 @@ def test_memoised_neighbors_equal_a_fresh_search_on_vae_latents(
     [learner] = learners
     assert len(batches) > 50
     # far fewer latents searched than rows queried: the memo is in use
-    assert 0 < len(learner._neighbor_memo) < sum(batches) // 4
+    assert 0 < len(learner._searched) < sum(batches) // 4

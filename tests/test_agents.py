@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -77,6 +80,22 @@ def test_hyperparams_validation() -> None:
                          ("exploration_fraction", -1.0)]:
         with pytest.raises(ValueError, match=field):
             agents.Hyperparams(**{field: value})
+
+
+FLOAT_HYPERPARAMS = ["gamma", "lam", "tau", "eps_start", "eps_end", "exploration_fraction",
+                     "learning_rate", "distill_temperature"]
+
+
+def test_the_float_hyperparams_are_the_listed_ones() -> None:
+    assert FLOAT_HYPERPARAMS == [f.name for f in dataclasses.fields(agents.Hyperparams)
+                                 if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", FLOAT_HYPERPARAMS)
+def test_non_finite_float_hyperparams_are_rejected_by_name(field, value) -> None:
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        agents.Hyperparams(**{field: value})
 
 
 # -- schedules -------------------------------------------------------------------------

@@ -210,6 +210,8 @@ def test_eval_cadence_below_one_exits_with_a_config_error(tmp_path, capsys, cade
     ("teacher_steps = -5", "teacher_steps"),
     ("offline_steps = -3", "offline_steps"),
     ("exploration_fraction = -1", "exploration_fraction"),
+    ("learning_rate = inf", "learning_rate"),
+    ("exploration_fraction = nan", "exploration_fraction"),
 ])
 def test_out_of_range_hyperparams_exit_with_a_config_error(tmp_path, capsys, override,
                                                            key) -> None:
@@ -220,6 +222,18 @@ def test_out_of_range_hyperparams_exit_with_a_config_error(tmp_path, capsys, ove
     assert cli.main(["train", "--config", config_path, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("env", ["width = 0", "height = -3", "max_steps = 0"])
+def test_a_value_the_env_rejects_exits_with_a_config_error(tmp_path, capsys, env) -> None:
+    config_path = str(tmp_path / "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(GOOD.replace("runs/demo", str(tmp_path / "out")) + f"\n[env]\n{env}\n")
+    with pytest.raises(ConfigError, match="bad env option"):
+        load_config(config_path).validate()
+    assert cli.main(["train", "--config", config_path, "--quiet"]) == 1
+    assert "config error: bad env option" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
 
 

@@ -162,7 +162,25 @@ def _nested_list_in_obs(row):
     row["obs"][1] = [0.0, 1.0]
 
 
-@pytest.mark.parametrize("corrupt", [_traj_as_string, _string_in_obs, _nested_list_in_obs])
+def _nan_in_obs(row):
+    row["obs"][1] = float("nan")
+
+
+def _infinity_in_next_obs(row):
+    row["next_obs"][0] = float("inf")
+
+
+def _nan_reward(row):
+    row["reward"] = float("nan")
+
+
+def _negative_infinity_reward(row):
+    row["reward"] = -float("inf")
+
+
+@pytest.mark.parametrize("corrupt", [_traj_as_string, _string_in_obs, _nested_list_in_obs,
+                                     _nan_in_obs, _infinity_in_next_obs, _nan_reward,
+                                     _negative_infinity_reward])
 def test_bad_field_value_is_a_format_error_naming_the_line(room_store, tmp_path,
                                                            corrupt) -> None:
     path = str(tmp_path / "value.demos.jsonl")

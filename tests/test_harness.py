@@ -366,8 +366,7 @@ def test_trained_bc_agrees_with_expert_on_held_out_states(room_spec) -> None:
     for traj in held_out:
         for tr in traj.transitions:
             position = divmod(int(np.argmax(tr.obs[:cells])), room_spec.width)[::-1]
-            state = envs.EnvState(position=position, items=set(), t=0,
-                                  rng=np.random.default_rng(0))
+            state = envs.EnvState(position=position, items=set(), t=0)
             expert = envs.expert_action(room_spec, state, 0.0, spawn_rng(0, "x"))
             predicted = agents.greedy_action(policy, encoder.encode(tr.obs))
             agree += int(expert == predicted)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickrl import nets
 from kickrl.errors import ShapeError
@@ -463,6 +465,95 @@ def test_row_memo_clear_drops_every_row() -> None:
     net.layers[0].weights += 1.0
     memo.clear()
     assert np.array_equal(memo(batch), nets.forward(net, batch).final)
+
+
+# -- RowTable -----------------------------------------------------------------------
+
+ROWS = st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=3, max_size=3)
+
+
+@given(ops=st.lists(st.one_of(st.tuples(st.just("add"), ROWS),
+                              st.tuples(st.just("add_all"), st.lists(ROWS, max_size=6)),
+                              st.tuples(st.just("compact"),
+                                        st.lists(st.integers(0, 40), max_size=8))),
+                    max_size=60),
+       max_rows=st.one_of(st.none(), st.integers(1, 12)))
+@settings(max_examples=200, deadline=None)
+def test_row_table_numbers_rows_like_a_dict_and_a_list(ops, max_rows) -> None:
+    table = nets.RowTable() if max_rows is None else nets.RowTable(max_rows)
+    ids: dict[bytes, int] = {}  # the reference: float64 bytes -> id, and rows by id
+    rows: list[list[float]] = []
+
+    def expected_ids(batch):
+        out = []
+        for row in batch:
+            key = np.array(row).tobytes()
+            if key not in ids:
+                if len(rows) == max_rows:
+                    return out, True
+                ids[key] = len(rows)
+                rows.append(row)
+            out.append(ids[key])
+        return out, False
+
+    for op, arg in ops:
+        if op == "compact":
+            live = [i for i in arg if i < len(rows)]
+            kept = sorted(set(live))
+            renumber = [kept.index(i) if i in kept else -1 for i in range(len(rows))]
+            assert table.compact(np.array(live, dtype=np.int64)).tolist() == renumber
+            rows = [rows[i] for i in kept]
+            ids = {np.array(row).tobytes(): i for i, row in enumerate(rows)}
+        elif op == "add":
+            expected, full = expected_ids([arg])
+            if full:
+                with pytest.raises(OverflowError):
+                    table.add(np.array(arg))
+            else:
+                assert table.add(np.array(arg)) == expected[0]
+        else:
+            expected, full = expected_ids(arg)
+            if full:
+                with pytest.raises(OverflowError):
+                    table.add_all(np.array(arg))
+            else:
+                assert table.add_all(np.array(arg).reshape(-1, 3)).tolist() == expected
+        assert len(table) == len(rows)
+        assert table.rows.tobytes() == np.array(rows).tobytes()  # -0.0 and 0.0 apart
+        if max_rows is not None and table._buf is not None:
+            assert len(table._buf) <= max_rows
+
+
+def test_row_table_keeps_zero_and_negative_zero_apart() -> None:
+    table = nets.RowTable()
+    assert table.add_all(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])).tolist() == [0, 1, 0]
+    assert np.signbit(table.rows[:, 0]).tolist() == [False, True]
+
+
+def test_row_table_rejects_a_change_of_shape() -> None:
+    table = nets.RowTable()
+    with pytest.raises(ShapeError):
+        table.add(np.zeros((2, 3)))  # a batch is not a row
+    table.add(np.zeros(3))
+    for bad in (lambda: table.add(np.zeros(4)), lambda: table.add_all(np.zeros((2, 4))),
+                lambda: table.add_all(np.zeros(3))):
+        with pytest.raises(ShapeError):
+            bad()
+    assert len(table) == 1
+
+
+def test_row_table_adds_go_on_after_a_compact() -> None:
+    table = nets.RowTable(max_rows=3)
+    rows = np.eye(4)
+    assert table.add_all(rows[:3]).tolist() == [0, 1, 2]
+    with pytest.raises(OverflowError):
+        table.add(rows[3])
+    assert table.compact(np.array([2, 0, 2])).tolist() == [0, -1, 1]
+    assert table.add(rows[3]) == 2
+    assert table.add(rows[2]) == 1
+    with pytest.raises(OverflowError):
+        table.add(rows[1])
+    assert np.array_equal(table.rows, rows[[0, 2, 3]])
 
 
 def test_backward_can_skip_the_input_gradient() -> None:

@@ -162,10 +162,10 @@ def test_observation_table_stays_within_its_bound() -> None:
     for tr in continuous_transitions(5 * capacity, seed=10):
         arrays.push(tr)
         listed.push(tr)
-        assert arrays._rows <= len(arrays._table) <= bound and len(arrays._ids) <= bound
-        live = len(arrays)
-        assert max(arrays._obs_id[:live].max(), arrays._next_obs_id[:live].max()) < arrays._rows
-    assert arrays._rows < 5 * capacity  # compaction dropped dead rows
+        table = arrays.observations
+        assert len(table) == len(table.rows) <= len(table._buf) <= bound
+        assert arrays._obs_ids[:len(arrays)].max() < len(table)
+    assert len(arrays.observations) < 5 * capacity  # compaction dropped dead rows
     assert arrays.transitions == listed.transitions
     encoder = IdentityEncoder(5)
     assert_batches_equal(
@@ -182,7 +182,7 @@ def test_grid_observations_are_stored_once(room_spec) -> None:
         buffer.push(tr)
     distinct = {tr.obs.tobytes() for tr in transitions} | {
         tr.next_obs.tobytes() for tr in transitions}
-    assert buffer._rows == len(buffer._ids) == len(distinct)
+    assert len(buffer.observations) == len(buffer.observations.rows) == len(distinct)
 
 
 def test_a_capacity_one_buffer_keeps_the_last_transition() -> None:
@@ -191,4 +191,4 @@ def test_a_capacity_one_buffer_keeps_the_last_transition() -> None:
     for tr in transitions:
         buffer.push(tr)
     assert buffer.transitions == [transitions[-1]]
-    assert len(buffer._table) <= harness.TABLE_ROWS_PER_SLOT
+    assert len(buffer.observations._buf) <= harness.TABLE_ROWS_PER_SLOT
