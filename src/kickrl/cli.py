@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error or malformed input file,
+2 runtime error (a missing file among them).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .encoders import (
     save_encoder,
     train_vae,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .harness import (
     build_spec,
     compare_runs,
@@ -197,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except FormatError as exc:
+        print(f"format error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,11 @@ record.  Demo stores (demos.py) keep one transition per record; a named-array
 snapshot keeps one flat real array with its name and shape per record, and
 free-form metadata in its header.  Used for network and encoder parameter
 snapshots.
+
+The writer streams each record to the file.  An array value goes out as its
+JSON list in pieces of at most ``_PIECE`` values, so a save holds one piece
+as Python floats and text, not the whole array; the bytes are those of one
+``json.dumps``.  Only arrays that fit in one piece have their text memoised.
 """
 
 from __future__ import annotations
@@ -12,12 +17,14 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Iterable, Iterator
+from typing import TextIO
 
 import numpy as np
 
 from .errors import FormatError
 
 FORMAT_VERSION = 1
+_PIECE = 4096  # the most array values a writer holds as Python floats and text at once
 
 
 def write_records(path: str, header: dict, records: Iterable[dict]) -> None:
@@ -25,39 +32,62 @@ def write_records(path: str, header: dict, records: Iterable[dict]) -> None:
 
     A record's top-level numpy-array values are written as the JSON lists of
     their float64 values, so every line is byte-equal to ``json.dumps`` of
-    the record with its arrays as lists of Python floats.  Within one file,
-    each distinct array (by shape and float64 bytes) is encoded once and its
-    text kept until the file is written: pass arrays for values that repeat
-    across records, and lists for values that never do.  Record keys are
-    strings.
+    the record with its arrays as lists of Python floats.  An array larger
+    than ``_PIECE`` values is written piece by piece along its first axis.
+    Within one file, each distinct array of at most ``_PIECE`` values (by
+    shape and float64 bytes) is encoded once and its text kept until the
+    file is written.  Record keys are strings.
     """
     texts: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for record in records:
-            fh.write(_record_line(record, texts) + "\n")
+            _write_record(fh, record, texts)
 
 
-def _record_line(record: dict, texts: dict[tuple, str]) -> str:
+def _write_record(fh: TextIO, record: dict, texts: dict[tuple, str]) -> None:
     # json.dumps of a dict joins its items with ", ", so a run of non-array
     # items is the dump of that run as a dict, without its braces.
-    parts, plain = [], {}
+    sep, plain = "", {}
+    fh.write("{")
     for key, value in record.items():
         if not isinstance(value, np.ndarray):
             plain[key] = value
             continue
         if plain:
-            parts.append(json.dumps(plain)[1:-1])
-            plain = {}
+            fh.write(sep + json.dumps(plain)[1:-1])
+            sep, plain = ", ", {}
+        fh.write(f"{sep}{json.dumps(key)}: ")
+        sep = ", "
         value = np.asarray(value, dtype=np.float64)
-        memo = (value.shape, value.tobytes())
-        text = texts.get(memo)
-        if text is None:
-            text = texts[memo] = json.dumps(value.tolist())
-        parts.append(f"{json.dumps(key)}: {text}")
+        if value.size <= _PIECE:
+            memo = (value.shape, value.tobytes())
+            text = texts.get(memo)
+            if text is None:
+                text = texts[memo] = json.dumps(value.tolist())
+            fh.write(text)
+        else:
+            _write_pieces(fh, value)
     if plain:
-        parts.append(json.dumps(plain)[1:-1])
-    return "{" + ", ".join(parts) + "}"
+        fh.write(sep + json.dumps(plain)[1:-1])
+    fh.write("}\n")
+
+
+def _write_pieces(fh: TextIO, arr: np.ndarray) -> None:
+    """``json.dumps(arr.tolist())`` of an array of more than ``_PIECE``
+    values, written in pieces of at most ``_PIECE`` values: runs of whole
+    rows, or one row at a time when a row alone is larger."""
+    row = arr[0].size
+    step = max(1, _PIECE // row)
+    fh.write("[")
+    for start in range(0, len(arr), step):
+        if start:
+            fh.write(", ")
+        if row > _PIECE:
+            _write_pieces(fh, arr[start])
+        else:
+            fh.write(json.dumps(arr[start:start + step].tolist())[1:-1])
+    fh.write("]")
 
 
 def read_records(path: str) -> Iterator[tuple[int, dict]]:
@@ -92,7 +122,7 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
 
 def _array_record(name: str, arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.float64)
-    return {"name": name, "shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+    return {"name": name, "shape": list(arr.shape), "data": arr.reshape(-1)}
 
 
 def field_int(value, lineno: int, name: str) -> int:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from kickrl import cli, demos
+from kickrl import cli, demos, envs
 from kickrl.config import config_from_text, load_config
 from kickrl.errors import ConfigError
 
@@ -240,6 +240,40 @@ def test_a_value_the_env_rejects_exits_with_a_config_error(tmp_path, capsys, env
 def test_runtime_errors_exit_code_two(tmp_path, capsys) -> None:
     assert cli.main(["evaluate", "--snapshot", str(tmp_path / "missing.jsonl"),
                      "--env", "room-nav", "--episodes", "1", "--seed", "0"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::kickrl.demos.DemoBudgetWarning")
+def test_a_malformed_demo_store_exits_with_a_format_error(tmp_path, capsys) -> None:
+    store_path = str(tmp_path / "bad.jsonl")
+    demos.save_demos(demos.generate_demos(envs.make_room_nav(), 0.1, 2, 0), store_path)
+    with open(store_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    row = json.loads(lines[3])
+    row["reward"] = "x"
+    lines[3] = json.dumps(row)
+    with open(store_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    config_path = str(tmp_path / "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(GOOD.replace("runs/demo", str(tmp_path / "out"))
+                 .replace("agent = cdql", "agent = bc")
+                 .replace("[hyperparams]", f"demos = {store_path}\n\n[hyperparams]"))
+    assert cli.main(["train", "--config", config_path, "--quiet"]) == 1
+    assert "format error: line 4: reward 'x' is not a number" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_malformed_snapshot_exits_with_a_format_error(tmp_path, capsys) -> None:
+    path = str(tmp_path / "bad.snapshot.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"format_version": 1, "kind": "named-arrays", "names": ["w"],
+                             "meta": {}}) + "\n")
+        fh.write(json.dumps({"name": "w", "shape": [1], "data": ["x"]}) + "\n")
+    assert cli.main(["evaluate", "--snapshot", path, "--env", "room-nav",
+                     "--episodes", "1", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "format error: line 2: data is not a list of numbers" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_env_is_a_config_error(capsys) -> None:

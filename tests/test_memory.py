@@ -131,6 +131,18 @@ def test_writing_a_snapshot_peaks_no_higher_than_formatting_each_float(tmp_path)
     assert peak <= reference_peak
 
 
+def test_saving_a_snapshot_peaks_under_one_mib(tmp_path) -> None:
+    """The same Q-net, whose 256 x 256 weights are 65,536 values.  Writing
+    each array whole held its Python floats and its JSON text at once and
+    peaked at 7.12 MiB; the writer holds one piece of them at a time.
+    Measured: 0.56 MiB."""
+    arrays = nets.net_to_arrays(nets.mlp(128, 4, (256, 256), np.random.default_rng(0)), "q")
+    path = str(tmp_path / "q.snapshot.jsonl")
+    _, peak = _traced(lambda: snapshots.save_arrays(path, arrays))
+    assert sum(arr.size for arr in arrays.values()) == 99_844
+    assert peak <= 2**20
+
+
 def _step_peak(step, steps: int = 4) -> int:
     """Peak bytes that ``steps`` calls of ``step`` allocate on top of what is
     held after one warm-up call (which sizes every buffer)."""

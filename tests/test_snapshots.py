@@ -1,12 +1,109 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kickrl import encoders, harness, nets, snapshots
 from kickrl.errors import FormatError
+
+
+# -- the streamed writer -------------------------------------------------------------
+
+SPECIAL = [-0.0, 5e-324, 1e-300, float(2**60), float("nan"), float("inf"), -float("inf")]
+
+
+def _shapes(piece: int) -> list[tuple[int, ...]]:
+    """0-d, empty, and sizes around one and several pieces of ``piece``
+    values, with rows that fit a piece and rows that do not."""
+    return [(), (0,), (2, 0), (0, 3), (1,), (2, 3), (piece - 1,), (piece,), (piece + 1,),
+            (3 * piece + 1,), (2, piece + 1), (piece // 2 + 2, 3), (2, 2, piece // 2 + 1)]
+
+
+@st.composite
+def _arrays(draw, piece: int) -> np.ndarray:
+    shape = draw(st.sampled_from(_shapes(piece)))
+    size = int(np.prod(shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1,
+                                  max_size=8)))
+    values = rng.standard_normal(size)
+    special = rng.random(size) < 0.3
+    values[special] = rng.choice(pool, int(special.sum()))
+    return values.reshape(shape)
+
+
+_plain = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) \
+    | st.lists(st.integers(), max_size=3)
+
+
+@st.composite
+def _records(draw, piece: int) -> list[dict]:
+    items = st.lists(st.tuples(st.text(max_size=4), _arrays(piece) | _plain), max_size=5,
+                     unique_by=lambda item: item[0])
+    return [dict(record) for record in draw(st.lists(items, max_size=3))]
+
+
+def _as_lists(record: dict) -> dict:
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in record.items()}
+
+
+_piece = st.sampled_from([2, 3, 7, snapshots._PIECE])
+_file_settings = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_file_settings
+@given(data=st.data(), piece=_piece)
+def test_each_written_line_is_the_json_dump_of_its_record(tmp_path, data, piece) -> None:
+    """Every record is written twice, so each array's second line comes from
+    the writer's text memo when the array fits in one piece."""
+    records = data.draw(_records(piece))
+    path = str(tmp_path / "records.jsonl")
+    with mock.patch.object(snapshots, "_PIECE", piece):
+        snapshots.write_records(path, {"kind": "test"}, records + records)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    assert lines == [json.dumps({"kind": "test"})] + [
+        json.dumps(_as_lists(record)) for record in records + records] + [""]
+
+
+def test_arrays_of_equal_bytes_and_other_shapes_keep_their_own_text(tmp_path) -> None:
+    record = {"a": np.zeros(()), "b": np.zeros(1), "c": np.zeros(6), "d": np.zeros((2, 3)),
+              "e": np.zeros((0,)), "f": np.zeros((2, 0))}
+    path = str(tmp_path / "records.jsonl")
+    snapshots.write_records(path, {}, [record])
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read().splitlines()[1] == json.dumps(_as_lists(record))
+
+
+@_file_settings
+@given(data=st.data(), piece=_piece)
+def test_saved_arrays_are_their_json_dumps_and_load_bit_exactly(tmp_path, data, piece) -> None:
+    arrays = {f"a{i}": arr for i, arr in enumerate(data.draw(st.lists(_arrays(piece),
+                                                                      max_size=4)))}
+    path = str(tmp_path / "arrays.jsonl")
+    with mock.patch.object(snapshots, "_PIECE", piece):
+        snapshots.save_arrays(path, arrays, meta={"kind": "test"})
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[1:] == [json.dumps({"name": name, "shape": list(arr.shape),
+                                     "data": arr.reshape(-1).tolist()})
+                         for name, arr in arrays.items()]
+    loaded, meta = snapshots.load_arrays(path)
+    assert meta == {"kind": "test"} and list(loaded) == list(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].shape == arr.shape
+        if np.isfinite(arr).all():
+            assert loaded[name].tobytes() == arr.tobytes()
+
+
+# -- malformed files -------------------------------------------------------------------
 
 
 def _write_lines(path, lines) -> str:
