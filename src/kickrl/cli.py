@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error or malformed input file,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -44,7 +45,21 @@ def _env_options(pairs: list[str]) -> dict:
     return out
 
 
+def _check_flag(args, flag: str, ok, rule: str) -> None:
+    """A ConfigError naming ``flag`` unless its value passes ``ok``; each
+    check below is written so that NaN fails it."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if not ok(value):
+        raise ConfigError(f"{flag} must be {rule}, got {value!r}")
+
+
+def _at_least_one(value) -> bool:
+    return value >= 1
+
+
 def _cmd_collect_demos(args) -> int:
+    _check_flag(args, "--n-traj", _at_least_one, ">= 1")
+    _check_flag(args, "--noise", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
     spec = build_spec(args.env, _env_options(args.env_opt))
     store = generate_demos(spec, expert_noise=args.noise, n_traj=args.n_traj,
                            seed=args.seed)
@@ -55,6 +70,12 @@ def _cmd_collect_demos(args) -> int:
 
 
 def _cmd_train_encoder(args) -> int:
+    _check_flag(args, "--n-traj", _at_least_one, ">= 1")
+    if args.kind == "vae":
+        for flag in ("--latent-dim", "--epochs", "--batch-size"):
+            _check_flag(args, flag, _at_least_one, ">= 1")
+        _check_flag(args, "--learning-rate", lambda v: 0.0 < v < math.inf, "finite and > 0")
+        _check_flag(args, "--beta-max", lambda v: 0.0 <= v < math.inf, "finite and >= 0")
     spec = build_spec(args.env, _env_options(args.env_opt))
     corpus = collect_random_observations(spec, n_traj=args.n_traj, seed=args.seed)
     if args.kind == "standardize":

@@ -222,7 +222,7 @@ def load_demos(path: str) -> DemoStore:
     action_count = field_int(header["action_count"], 1, "action_count")
     claimed = field_int(header["n_transitions"], 1, "n_transitions")
 
-    by_traj: dict[int, list[Transition]] = {}
+    by_traj: dict[int, list[tuple[int, Transition]]] = {}  # (line, transition)
     shared: dict[bytes, np.ndarray] = {}
     count = 0
     for lineno, row in records:
@@ -251,10 +251,10 @@ def load_demos(path: str) -> DemoStore:
         terminated, truncated = row["terminated"], row["truncated"]
         if type(terminated) is not bool or type(truncated) is not bool:
             raise FormatError(f"line {lineno}: terminated or truncated is not a boolean")
-        by_traj.setdefault(field_int(row["traj"], lineno, "traj"), []).append(Transition(
+        by_traj.setdefault(field_int(row["traj"], lineno, "traj"), []).append((lineno, Transition(
             obs=obs, action=action, reward=reward, next_obs=next_obs, terminated=terminated,
             truncated=truncated, t=field_int(row["t"], lineno, "t"),
-        ))
+        )))
         count += 1
     if count != claimed:
         raise FormatError(
@@ -264,14 +264,22 @@ def load_demos(path: str) -> DemoStore:
 
     trajectories = []
     for ti in sorted(by_traj):
-        transitions = sorted(by_traj[ti], key=lambda tr: tr.t)
-        if [tr.t for tr in transitions] != list(range(len(transitions))):
-            raise FormatError(f"trajectory {ti}: t fields are not 0..n-1")
-        for tr in transitions[:-1]:
+        n = len(by_traj[ti])
+        ordered: list[tuple[int, Transition] | None] = [None] * n  # (line, transition) by t
+        for lineno, tr in by_traj[ti]:
+            if not 0 <= tr.t < n:
+                raise FormatError(f"line {lineno}: trajectory {ti} has {n} transitions, "
+                                  f"so t {tr.t} is outside 0..{n - 1}")
+            if ordered[tr.t] is not None:
+                raise FormatError(f"line {lineno}: trajectory {ti} repeats t {tr.t} "
+                                  f"of line {ordered[tr.t][0]}")
+            ordered[tr.t] = (lineno, tr)
+        for lineno, tr in ordered[:-1]:
             if tr.terminated or tr.truncated:
                 raise FormatError(
-                    f"trajectory {ti}: non-final transition flagged terminal"
+                    f"line {lineno}: trajectory {ti}: non-final transition flagged terminal"
                 )
+        transitions = [tr for _, tr in ordered]
         trajectories.append(Trajectory(
             transitions=transitions,
             episode_return=sum(tr.reward for tr in transitions),

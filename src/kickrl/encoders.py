@@ -9,8 +9,9 @@ downstream consumer (agents, retrieval index) sees the same latents.
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,10 +32,19 @@ class VaeTrainConfig:
     ramp_end: float = 0.9
 
     def __post_init__(self) -> None:
+        # every check below is written so that NaN fails it
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("epochs", "batch_size"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
+        if not self.beta_max >= 0.0:
+            raise ValueError("beta_max must be >= 0")
         if not 0.0 <= self.ramp_start < self.ramp_end <= 1.0:
             raise ValueError("need 0 <= ramp_start < ramp_end <= 1")
-        if self.beta_max < 0.0:
-            raise ValueError("beta_max must be >= 0")
 
 
 def beta_schedule(epoch: int, total_epochs: int, cfg: VaeTrainConfig) -> float:

@@ -111,11 +111,6 @@ class ReplayBuffer:
             t=int(self._t[slot]),
         )
 
-    @property
-    def transitions(self) -> list[Transition]:
-        """Every filled slot as a Transition, in slot order (a new list)."""
-        return [self[slot] for slot in range(self._size)]
-
     def sample_slots(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform slots, with replacement."""
         if self._size == 0:
@@ -383,6 +378,8 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     resources = {}
     if learner_cls.needs_demos:
         store = load_demos(cfg.demo_path)
+        if store.total_transitions == 0:
+            raise ConfigError(f"demo store {cfg.demo_path!r} holds no transitions")
         if store.obs_dim != spec.obs_dim:
             raise ConfigError(
                 f"demo obs_dim {store.obs_dim} != env obs_dim {spec.obs_dim}")

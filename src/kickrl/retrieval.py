@@ -6,8 +6,8 @@ distinct latents and a row-to-distinct map, and a query measures its distance
 to each distinct latent once, in the direct form sum((u - q)^2).  Rows that
 share a latent therefore share one distance, distances are never negative,
 and each query's result depends on that query alone, not on the rest of its
-batch.  The k nearest rows come out in ascending distance with ties broken
-toward the lowest row index.
+batch.  Every row takes its latent's distance, and one stable sort of the rows
+by distance gives the k nearest in ascending distance, ties to the lowest row.
 """
 
 from __future__ import annotations
@@ -107,34 +107,12 @@ def _distinct_distances(index: LatentIndex, queries: np.ndarray, metric: str) ->
     return 1.0 - dots / np.maximum(q_norms[:, None] * u_norms[None, :], 1e-300)
 
 
-def _nearest_rows(index: LatentIndex, dist: np.ndarray, k: int) -> np.ndarray:
-    """(B, k) rows with the k smallest (distance, row) keys, in key order.
-
-    dist holds each query's distances to the distinct latents.  Each distinct
-    latent gets its distance's dense rank (equal distances share a rank), and
-    a row's key is rank * N + row: an exact integer that orders rows by
-    distance, then by row index.
-    """
-    n = len(index)
-    order = np.argsort(dist, axis=1)
-    ranked = np.take_along_axis(dist, order, axis=1)
-    dense = np.zeros(dist.shape, dtype=np.int64)
-    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=dense[:, 1:])
-    rank = np.empty_like(dense)
-    np.put_along_axis(rank, order, dense, axis=1)
-    keys = rank[:, index._row_distinct] * n + np.arange(n)
-    if k < n:
-        keys = np.partition(keys, k - 1, axis=1)[:, :k]
-    keys.sort(axis=1)
-    return keys % n
-
-
 def knn_batch(index: LatentIndex, queries: np.ndarray, k: int,
               metric: str = "l2") -> tuple[np.ndarray, np.ndarray]:
     """Exact k-nearest rows for each query: (B, k) indices and distances.
 
     Distances are squared L2 (or cosine distance) in the direct form, the
-    order is ascending distance with ties toward the lowest row index, and
+    order is a stable sort of the rows by distance (ties to the lowest row), and
     row i of the result equals the result of querying queries[i] alone, bit
     for bit.  Queries go through in chunks of bounded size.
     """
@@ -153,10 +131,10 @@ def knn_batch(index: LatentIndex, queries: np.ndarray, k: int,
     per_query = max(index._distinct.size, len(index))
     chunk = max(1, _CHUNK_ELEMENTS // per_query)
     for lo in range(0, len(queries), chunk):
-        dist = _distinct_distances(index, queries[lo:lo + chunk], metric)
-        rows = _nearest_rows(index, dist, k)
+        dist = _distinct_distances(index, queries[lo:lo + chunk], metric)[:, index._row_distinct]
+        rows = np.argsort(dist, axis=1, kind="stable")[:, :k]
         indices[lo:lo + chunk] = rows
-        distances[lo:lo + chunk] = np.take_along_axis(dist, index._row_distinct[rows], axis=1)
+        distances[lo:lo + chunk] = np.take_along_axis(dist, rows, axis=1)
     return indices, distances
 
 

@@ -133,10 +133,14 @@ def field_int(value, lineno: int, name: str) -> int:
 
 
 def field_number(value, lineno: int, name: str) -> float:
-    """A JSON number field as a float; any other value is a FormatError."""
+    """A JSON number field as a float; any other value, or an integer beyond
+    the float range, is a FormatError."""
     if type(value) not in (int, float):
         raise FormatError(f"line {lineno}: {name} {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"line {lineno}: {name} is an integer beyond the float range") from None
 
 
 def field_float_bytes(value, lineno: int, name: str) -> bytes:

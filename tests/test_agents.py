@@ -578,7 +578,7 @@ def _filled_buffer(rng, n=50) -> ReplayBuffer:
 def test_her_appends_sixteen_relabeled_successes() -> None:
     rng = np.random.default_rng(28)
     buffer = _filled_buffer(rng)
-    batch = [buffer.transitions[i] for i in range(32)]
+    batch = [buffer[i] for i in range(32)]
     out = agents.her_augment(batch, buffer, 16, spawn_rng(1, "her"))
     assert len(out) == 48
     assert out[:32] == batch  # originals untouched, prefix equality
@@ -590,7 +590,7 @@ def test_her_appends_sixteen_relabeled_successes() -> None:
 def test_her_zero_extra_is_identity() -> None:
     rng = np.random.default_rng(29)
     buffer = _filled_buffer(rng)
-    batch = [buffer.transitions[0]]
+    batch = [buffer[0]]
     assert agents.her_augment(batch, buffer, 0, spawn_rng(2, "her")) == batch
 
 
@@ -611,9 +611,9 @@ def test_her_samples_with_replacement_from_small_buffers() -> None:
 def test_her_does_not_mutate_buffer_contents() -> None:
     rng = np.random.default_rng(32)
     buffer = _filled_buffer(rng)
-    rewards_before = [tr.reward for tr in buffer.transitions]
+    rewards_before = [tr.reward for tr in buffer]
     agents.her_augment([], buffer, 16, spawn_rng(5, "her"))
-    assert [tr.reward for tr in buffer.transitions] == rewards_before
+    assert [tr.reward for tr in buffer] == rewards_before
 
 
 # -- behavioral cloning -------------------------------------------------------------------

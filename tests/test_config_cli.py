@@ -263,6 +263,51 @@ def test_a_malformed_demo_store_exits_with_a_format_error(tmp_path, capsys) -> N
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("agent", ["bc", "awac", "qdagger", "cdql-ae"])
+def test_an_empty_demo_store_exits_with_a_config_error(tmp_path, capsys, agent) -> None:
+    store_path = str(tmp_path / "empty.demos.jsonl")
+    spec = envs.make_room_nav()
+    demos.save_demos(demos.DemoStore(env_id=spec.env_id, encoder_id="raw",
+                                     obs_dim=spec.obs_dim, action_count=spec.action_count),
+                     store_path)
+    config_path = str(tmp_path / "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(GOOD.replace("runs/demo", str(tmp_path / "out"))
+                 .replace("agent = cdql", f"agent = {agent}")
+                 .replace("[hyperparams]", f"demos = {store_path}\n\n[hyperparams]"))
+    assert cli.main(["train", "--config", config_path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: demo store {store_path!r} holds no transitions" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train-encoder", "--epochs", "0"], "--epochs"),
+    (["train-encoder", "--epochs", "-3"], "--epochs"),
+    (["train-encoder", "--batch-size", "0"], "--batch-size"),
+    (["train-encoder", "--latent-dim", "0"], "--latent-dim"),
+    (["train-encoder", "--n-traj", "0"], "--n-traj"),
+    (["train-encoder", "--kind", "standardize", "--n-traj", "0"], "--n-traj"),
+    (["train-encoder", "--learning-rate", "-1"], "--learning-rate"),
+    (["train-encoder", "--learning-rate", "nan"], "--learning-rate"),
+    (["train-encoder", "--learning-rate", "inf"], "--learning-rate"),
+    (["train-encoder", "--beta-max", "nan"], "--beta-max"),
+    (["train-encoder", "--beta-max=-1e-9"], "--beta-max"),
+    (["collect-demos", "--n-traj", "0"], "--n-traj"),
+    (["collect-demos", "--noise", "1.5"], "--noise"),
+    (["collect-demos", "--noise", "-0.1"], "--noise"),
+    (["collect-demos", "--noise", "nan"], "--noise"),
+])
+def test_a_bad_encoder_or_demo_flag_exits_with_a_config_error(tmp_path, capsys, argv,
+                                                              flag) -> None:
+    out = tmp_path / "out.jsonl"
+    assert cli.main(argv + ["--env", "room-nav", "--seed", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {flag} must be ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_a_malformed_snapshot_exits_with_a_format_error(tmp_path, capsys) -> None:
     path = str(tmp_path / "bad.snapshot.jsonl")
     with open(path, "w", encoding="utf-8") as fh:

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kickrl import demos, envs
 from kickrl.demos import DemoStore, Trajectory, Transition
@@ -206,6 +209,112 @@ def test_action_out_of_bounds_is_rejected(room_store, tmp_path) -> None:
         fh.write("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="action"):
         demos.load_demos(path)
+
+
+def _rewrite_line(room_store, tmp_path, index: int, field: str, value) -> str:
+    path = str(tmp_path / "mutated.demos.jsonl")
+    demos.save_demos(room_store, path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    row = json.loads(lines[index])
+    row[field] = value
+    lines[index] = json.dumps(row)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t", 7, "^line 4: trajectory 0 has 5 transitions, so t 7 is outside 0..4$"),
+    ("t", -1, "^line 4: trajectory 0 has 5 transitions, so t -1 is outside 0..4$"),
+    ("t", 3, "^line 5: trajectory 0 repeats t 3 of line 4$"),
+    ("terminated", True, "^line 4: trajectory 0: non-final transition flagged terminal$"),
+    ("truncated", True, "^line 4: trajectory 0: non-final transition flagged terminal$"),
+])
+def test_trajectory_order_errors_name_the_line(room_store, tmp_path, field, value,
+                                               message) -> None:
+    assert len(room_store.trajectories[0]) == 5  # lines 2-6
+    with pytest.raises(FormatError, match=message):
+        demos.load_demos(_rewrite_line(room_store, tmp_path, 3, field, value))
+
+
+def test_a_reward_beyond_the_float_range_is_a_format_error(room_store, tmp_path) -> None:
+    with pytest.raises(FormatError, match="^line 4: reward "):
+        demos.load_demos(_rewrite_line(room_store, tmp_path, 3, "reward", 10**400))
+
+
+# -- properties: round trips and single-field mutations ---------------------------
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, float(2**60), -float(2**60)]
+_finite = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+_property_settings = settings(max_examples=300, deadline=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _stores(draw) -> DemoStore:
+    """Up to three trajectories of up to four transitions over observations
+    of width 1-4, with edge values in the observations and rewards."""
+    dim = draw(st.integers(1, 4))
+    rows = st.lists(_finite, min_size=dim, max_size=dim).map(np.array)
+    trajectories = []
+    for length in draw(st.lists(st.integers(1, 4), max_size=3)):
+        observations = draw(st.lists(rows, min_size=length + 1, max_size=length + 1))
+        last = draw(st.tuples(st.booleans(), st.booleans()))
+        transitions = [Transition(
+            obs=observations[t], action=draw(st.integers(0, 2)), reward=draw(_finite),
+            next_obs=observations[t + 1], terminated=t == length - 1 and last[0],
+            truncated=t == length - 1 and last[1], t=t) for t in range(length)]
+        trajectories.append(Trajectory(transitions, sum(tr.reward for tr in transitions)))
+    return DemoStore(env_id="edges", encoder_id="raw", obs_dim=dim, action_count=3,
+                     trajectories=trajectories)
+
+
+@_property_settings
+@given(store=_stores())
+def test_stores_with_edge_values_load_back_bit_exactly(tmp_path, store) -> None:
+    path = str(tmp_path / "edges.demos.jsonl")
+    demos.save_demos(store, path)
+    loaded = demos.load_demos(path)
+    assert loaded == store
+    pairs = list(zip(store.transitions(), loaded.transitions(), strict=True))
+    for saved, back in pairs:
+        assert back.obs.tobytes() == saved.obs.tobytes()
+        assert back.next_obs.tobytes() == saved.next_obs.tobytes()
+        assert np.float64(back.reward).tobytes() == np.float64(saved.reward).tobytes()
+
+
+_numbers = st.sampled_from([-1, 7, 2**60, 10**400, -(10**400)]) | st.integers() | st.floats()
+_any_value = st.one_of(_numbers, st.none(), st.booleans(), st.text(max_size=3),
+                       st.lists(_numbers, max_size=5),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@_property_settings
+@given(data=st.data())
+def test_a_single_field_mutation_loads_or_is_a_format_error_naming_a_line(tmp_path,
+                                                                         data) -> None:
+    """One field of one line of a saved store is replaced, deleted, added or,
+    in a list, has one element replaced.  Loading either succeeds or raises a
+    FormatError whose message starts with the line it names."""
+    path = tmp_path / "mutated.demos.jsonl"
+    demos.save_demos(_edge_store(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[index])
+    key = data.draw(st.sampled_from(sorted(record)) | st.text(max_size=3))
+    how = data.draw(st.sampled_from(["replace", "delete", "element"]))
+    if how == "delete":
+        record.pop(key, None)
+    elif how == "element" and isinstance(record.get(key), list):
+        record[key][data.draw(st.integers(0, len(record[key]) - 1))] = data.draw(_any_value)
+    else:
+        record[key] = data.draw(_any_value)
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        demos.load_demos(str(path))
+    except FormatError as exc:
+        assert re.match(r"line \d+: ", str(exc)), str(exc)
 
 
 def test_rewards_preserved_exactly_through_round_trip(tmp_path) -> None:

@@ -48,6 +48,17 @@ def test_vae_config_validates_ramp_window() -> None:
         encoders.VaeTrainConfig(ramp_start=0.9, ramp_end=0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta_max", float("nan")), ("beta_max", float("inf")), ("beta_max", -1e-9),
+    ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("epochs", -3), ("epochs", 0), ("batch_size", 0),
+    ("epochs", float("inf")), ("ramp_start", float("nan")), ("ramp_end", float("nan")),
+])
+def test_vae_config_rejects_each_bad_field_by_name(field, value) -> None:
+    with pytest.raises(ValueError, match=field):
+        encoders.VaeTrainConfig(**{field: value})
+
+
 # -- encode variants -----------------------------------------------------------
 
 

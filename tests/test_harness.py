@@ -38,7 +38,7 @@ def test_buffer_evicts_oldest_first() -> None:
     buffer = harness.ReplayBuffer(capacity=3)
     for i in range(4):
         buffer.push(_tr(i))
-    stored = sorted(tr.t for tr in buffer.transitions)
+    stored = sorted(tr.t for tr in buffer)
     assert stored == [1, 2, 3]
     assert len(buffer) == 3
 
@@ -47,7 +47,7 @@ def test_buffer_holds_exactly_last_capacity_after_overflow() -> None:
     buffer = harness.ReplayBuffer(capacity=5)
     for i in range(12):
         buffer.push(_tr(i))
-    assert sorted(tr.t for tr in buffer.transitions) == list(range(7, 12))
+    assert sorted(tr.t for tr in buffer) == list(range(7, 12))
 
 
 def test_sample_returns_requested_batch_size() -> None:

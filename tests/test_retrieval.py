@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickrl import retrieval
@@ -201,6 +201,55 @@ def test_knn_batch_row_equals_the_query_alone_bitwise(four_rooms_store, four_roo
             si, sd = retrieval.knn_batch(index, queries[i:i + 1], 8, metric)
             assert np.array_equal(bi[i], si[0])
             assert np.array_equal(bd[i], sd[0])
+
+
+def _direct_distance(metric: str, u: np.ndarray, q: np.ndarray) -> float:
+    """One row's distance in the direct form, as knn_batch computes it."""
+    if metric == "l2":
+        return float(np.square(u - q).sum())
+    norms = float(np.sqrt(np.square(q).sum())) * float(np.sqrt(np.square(u).sum()))
+    return 1.0 - float((u * q).sum()) / max(norms, 1e-300)
+
+
+_coords = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _small_indexes(draw) -> tuple[list, list]:
+    """Up to 8 rows over up to 4 distinct latents of width 1-3, whose small
+    coordinates put distinct latents at equal distances, and queries that
+    include every distinct latent."""
+    dim = draw(st.integers(1, 3))
+    vectors = st.lists(_coords, min_size=dim, max_size=dim)
+    distinct = draw(st.lists(vectors, min_size=1, max_size=4))
+    which = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return [distinct[i] for i in which], draw(st.lists(vectors, max_size=3)) + distinct
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]],  # A, B, B, A: equal
+               [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]))               # distances interleave
+@example(case=([[0.0], [-0.0], [0.0], [-0.0], [-0.0]], [[0.0], [-0.0], [1.0], [-2.0]]))
+@given(case=_small_indexes())
+def test_knn_batch_is_a_sort_by_distance_then_row(case) -> None:
+    """For every metric and every k, knn_batch is the first k of a plain
+    sorted((distance, row)), in indices and distance bits, and row i of a
+    batch is the result of querying queries[i] alone."""
+    latents, queries = np.array(case[0]), np.array(case[1])
+    n = len(latents)
+    index = retrieval.LatentIndex(latents, np.zeros(n, dtype=int), np.zeros(n),
+                                  [(0, i) for i in range(n)], "e", "env", 1)
+    for metric in retrieval.METRICS:
+        expected = [sorted((_direct_distance(metric, u, q), row) for row, u in enumerate(latents))
+                    for q in queries]
+        for k in range(1, n + 1):
+            got_idx, got_d = retrieval.knn_batch(index, queries, k, metric)
+            for i, query in enumerate(queries):
+                assert got_idx[i].tolist() == [row for _, row in expected[i][:k]]
+                assert got_d[i].tobytes() == np.array([d for d, _ in expected[i][:k]]).tobytes()
+                alone_idx, alone_d = retrieval.knn_batch(index, query[None, :], k, metric)
+                assert np.array_equal(alone_idx[0], got_idx[i])
+                assert alone_d[0].tobytes() == got_d[i].tobytes()
 
 
 def test_cosine_duplicate_rows_share_a_distance_and_tie_by_row() -> None:
