@@ -26,7 +26,7 @@ from .encoders import (
     beta_schedule,
     train_vae,
 )
-from .envs import GridEnv, GridWorldSpec, make_collect, make_corridor, make_four_rooms, make_room_nav
+from .envs import GridWorldSpec, make_collect, make_corridor, make_four_rooms, make_room_nav
 from .harness import (
     ReplayBuffer,
     RunConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "DemoStore",
     "DenseVaeEncoder",
     "DirichletBelief",
-    "GridEnv",
     "GridWorldSpec",
     "Hyperparams",
     "IdentityEncoder",

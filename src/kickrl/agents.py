@@ -274,7 +274,6 @@ def adversarial_estimate(transition: Transition, index: LatentIndex, q_target_ev
 class AEApplication:
     """Outcome of applying the kickstarting penalty in one of three modes."""
 
-    mode: str
     targets: np.ndarray | None = None  # target-shaping only
     penalty_loss: float = 0.0  # scaled auxiliary value (other modes)
     penalty_grad_rows: np.ndarray | None = None
@@ -300,7 +299,7 @@ def ae_apply(batch: ArrayBatch, z_values: np.ndarray, lam: float, mode: str,
     if mode == "target-shaping":
         shaped = (batch.rewards - lam * z_values) + _min_bootstrap(
             batch, q_online, q_target, gamma)
-        return AEApplication(mode=mode, targets=shaped)
+        return AEApplication(targets=shaped)
     if q_values is None:
         raise ValueError(f"{mode} needs the current online q_values")
     rows = np.arange(len(batch))
@@ -310,7 +309,6 @@ def ae_apply(batch: ArrayBatch, z_values: np.ndarray, lam: float, mode: str,
         grad_rows = np.zeros_like(q_values)
         grad_rows[rows, batch.actions] = lam * 2.0 * resid
         return AEApplication(
-            mode=mode,
             penalty_loss=float(lam * np.mean(np.square(resid))),
             penalty_grad_rows=grad_rows,
         )
@@ -323,7 +321,6 @@ def ae_apply(batch: ArrayBatch, z_values: np.ndarray, lam: float, mode: str,
     per_sample = np.sum(p * (log_p - log_q), axis=1)
     grad_rows = lam * p * ((log_p - log_q) - per_sample[:, None])
     return AEApplication(
-        mode=mode,
         penalty_loss=float(lam * per_sample.mean()),
         penalty_grad_rows=grad_rows,
     )
@@ -634,13 +631,10 @@ class QDaggerLearner(QLearner):
                  seed: int, teacher: DenseNet):
         super().__init__(latent_dim, n_actions, hp, seed)
         self.teacher = teacher
-        self._teacher_probs = RowMemo(lambda latents: softmax(forward_values(teacher, latents)))
+        self.teacher_probs = RowMemo(lambda latents: softmax(forward_values(teacher, latents)))
 
     def phase(self, tick: int) -> str:
         return qdagger_schedule(tick, self.hp)
-
-    def teacher_probs(self, latents: np.ndarray) -> np.ndarray:
-        return self._teacher_probs(latents)
 
     def teacher_action(self, latent: np.ndarray) -> int:
         return greedy_action(self.teacher, latent)

@@ -57,6 +57,10 @@ def _at_least_one(value) -> bool:
     return value >= 1
 
 
+def _finite_positive(value) -> bool:
+    return 0.0 < value < math.inf
+
+
 def _cmd_collect_demos(args) -> int:
     _check_flag(args, "--n-traj", _at_least_one, ">= 1")
     _check_flag(args, "--noise", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
@@ -74,7 +78,7 @@ def _cmd_train_encoder(args) -> int:
     if args.kind == "vae":
         for flag in ("--latent-dim", "--epochs", "--batch-size"):
             _check_flag(args, flag, _at_least_one, ">= 1")
-        _check_flag(args, "--learning-rate", lambda v: 0.0 < v < math.inf, "finite and > 0")
+        _check_flag(args, "--learning-rate", _finite_positive, "finite and > 0")
         _check_flag(args, "--beta-max", lambda v: 0.0 <= v < math.inf, "finite and >= 0")
     spec = build_spec(args.env, _env_options(args.env_opt))
     corpus = collect_random_observations(spec, n_traj=args.n_traj, seed=args.seed)
@@ -103,6 +107,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_train(args) -> int:
+    _check_flag(args, "--parallel", _at_least_one, ">= 1")
     cfg = load_config(args.config)
     if args.out_dir:
         cfg.out_dir = args.out_dir
@@ -119,6 +124,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_flag(args, "--episodes", _at_least_one, ">= 1")
     action_fn, meta = load_policy_snapshot(args.snapshot)
     spec = build_spec(args.env, _env_options(args.env_opt))
     if meta.get("env_id") != spec.env_id:
@@ -145,6 +151,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_flag(args, "--threshold", _finite_positive, "finite and > 0")
     baseline = discover_runs(args.baseline)
     treatment = discover_runs(args.treatment)
     report = compare_runs(baseline, treatment, args.threshold)

@@ -63,7 +63,6 @@ class Transition:
 class Trajectory:
     transitions: list[Transition]
     episode_return: float
-    seed: int | None = None  # provenance only; not persisted, not compared
 
     def __len__(self) -> int:
         return len(self.transitions)
@@ -131,9 +130,8 @@ def generate_demos(
     trajectories = []
     shared: dict[bytes, np.ndarray] = {}
     for i in range(n_traj):
-        ep_seed = spawn_seed(seed, "demo-episode", i)
         expert_rng = spawn_rng(seed, "demo-expert", i)
-        state, obs = envs.reset(spec, ep_seed)
+        state, obs = envs.reset(spec, spawn_seed(seed, "demo-episode", i))
         obs = _shared(obs.tobytes(), shared)
         transitions: list[Transition] = []
         t = 0
@@ -151,7 +149,6 @@ def generate_demos(
         trajectories.append(Trajectory(
             transitions=transitions,
             episode_return=sum(tr.reward for tr in transitions),
-            seed=ep_seed,
         ))
     store = DemoStore(
         env_id=spec.env_id,

@@ -100,6 +100,8 @@ class StandardizeEncoder(Encoder):
         self.std = np.asarray(std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ShapeError("mean and std must be 1-D and aligned")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise ValueError("mean and std must be finite")
         if np.any(self.std <= 0.0):
             raise ValueError("std entries must be > 0")
 
@@ -116,8 +118,15 @@ class StandardizeEncoder(Encoder):
         return (batch - self.mean) / self.std
 
 
-def fit_standardizer(observations: np.ndarray, std_floor: float = 1e-8) -> StandardizeEncoder:
+def _corpus(observations: np.ndarray) -> np.ndarray:
     obs = np.asarray(observations, dtype=np.float64)
+    if obs.ndim != 2 or obs.size == 0:
+        raise ValueError(f"observations must be a non-empty (n, d) corpus, got shape {obs.shape}")
+    return obs
+
+
+def fit_standardizer(observations: np.ndarray, std_floor: float = 1e-8) -> StandardizeEncoder:
+    obs = _corpus(observations)
     std = np.maximum(obs.std(axis=0), std_floor)  # floor keeps the >0 invariant
     return StandardizeEncoder(obs.mean(axis=0), std)
 
@@ -245,8 +254,10 @@ def train_vae(observations: np.ndarray, latent_dim: int,
               cfg: VaeTrainConfig | None = None, seed: int = 0,
               hidden: tuple[int, ...] = (64, 64)) -> tuple[DenseVaeEncoder, list[VaeLossParts]]:
     """Train a dense VAE over an observation corpus with the ramped KL weight."""
+    if not latent_dim >= 1:
+        raise ValueError(f"latent_dim must be >= 1, got {latent_dim!r}")
     cfg = cfg or VaeTrainConfig()
-    observations = np.asarray(observations, dtype=np.float64)
+    observations = _corpus(observations)
     vae = new_vae(observations.shape[1], latent_dim, hidden=hidden, seed=seed)
     enc_opt = AdamState.for_params(vae.enc_net.param_arrays(), cfg.learning_rate)
     dec_opt = AdamState.for_params(vae.dec_net.param_arrays(), cfg.learning_rate)
@@ -326,6 +337,8 @@ def collect_random_observations(spec, n_traj: int = 50, seed: int = 0) -> np.nda
     gathered from them at the end."""
     from . import envs  # deferred: envs has no need to exist for pure-VAE use
 
+    if not n_traj >= 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj!r}")
     distinct, order = RowTable(), []
     for i in range(n_traj):
         state, obs = envs.reset(spec, seed=spawn_seed(seed, "vae-corpus", i))

@@ -18,7 +18,7 @@ reset (start cell) and in the scripted expert's noise draws.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +27,6 @@ from .errors import ContractError
 
 UP, DOWN, LEFT, RIGHT, PICKUP = 0, 1, 2, 3, 4
 MOVE_DELTAS = ((0, -1), (0, 1), (-1, 0), (1, 0))
-ACTION_NAMES = ("up", "down", "left", "right", "pickup")
 
 Cell = tuple[int, int]
 
@@ -44,15 +43,16 @@ class GridWorldSpec:
     items: frozenset[Cell] = frozenset()
     hazards: frozenset[Cell] = frozenset()
     max_steps: int = 60
-    reward_mode: str = "sparse-success"
     view_radius: int | None = None  # None = full observability
     doorways: frozenset[Cell] = frozenset()  # four-rooms validation only
+    # set from kind, not passed: a field, not a property, as env steps read it
+    reward_mode: str = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.reward_mode not in ("sparse-success", "collect"):
-            raise ValueError(f"unknown reward mode {self.reward_mode!r}")
+        object.__setattr__(self, "reward_mode",
+                           "collect" if self.kind == "collect-grid" else "sparse-success")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         for name, cells in (("goal", self.goals), ("item", self.items),
@@ -288,23 +288,6 @@ def _window_observation(spec: GridWorldSpec, state: EnvState) -> np.ndarray:
     return channels.reshape(-1)
 
 
-class GridEnv:
-    """Single-threaded episode state machine over a GridWorldSpec."""
-
-    def __init__(self, spec: GridWorldSpec):
-        self.spec = spec
-        self.state: EnvState | None = None
-
-    def reset(self, seed: int) -> tuple[EnvState, np.ndarray]:
-        self.state, obs = reset(self.spec, seed)
-        return self.state, obs
-
-    def step(self, action: int) -> StepResult:
-        if self.state is None:
-            raise ContractError("step() before reset()")
-        return step(self.spec, self.state, action)
-
-
 # -- scripted expert ---------------------------------------------------------
 
 
@@ -404,8 +387,7 @@ def make_collect(width: int = 8, height: int = 8, n_items: int = 5,
     items = frozenset(cells[int(i)] for i in picked)
     return GridWorldSpec(
         kind="collect-grid", width=width, height=height,
-        items=items, max_steps=max_steps, reward_mode="collect",
-        view_radius=view_radius,
+        items=items, max_steps=max_steps, view_radius=view_radius,
     )
 
 

@@ -41,7 +41,7 @@ from .encoders import (
     encoder_to_arrays,
     load_encoder,
 )
-from .envs import GridEnv, GridWorldSpec, PRESETS, episode_success
+from .envs import GridWorldSpec, PRESETS, episode_success
 from .errors import ConfigError
 from .nets import DenseNet, RowTable, net_from_arrays
 from .retrieval import build_index
@@ -404,23 +404,23 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     offline_rng = spawn_rng(cfg.seed, "offline")
     her_extra = hp.her_extra if learner.relabels else 0
 
-    env = GridEnv(spec)
+    state = None
     episode_idx = 0
     obs = None
     interaction_steps = 0
 
     def env_step(action_of) -> None:
         """One env step by action_of(latent), pushed to replay."""
-        nonlocal episode_idx, obs, interaction_steps
-        if obs is None or env.state.done:
-            _, obs = env.reset(spawn_seed(cfg.seed, "episode", episode_idx))
+        nonlocal state, episode_idx, obs, interaction_steps
+        if obs is None or state.done:
+            state, obs = envs.reset(spec, spawn_seed(cfg.seed, "episode", episode_idx))
             episode_idx += 1
         action = action_of(encoder.encode(obs))
-        res = env.step(action)
+        res = envs.step(spec, state, action)
         buffer.push(Transition(
             obs=obs, action=action, reward=res.reward,
             next_obs=res.observation, terminated=res.terminated,
-            truncated=res.truncated, t=env.state.t - 1,
+            truncated=res.truncated, t=state.t - 1,
         ))
         obs = res.observation
         interaction_steps += 1
@@ -703,8 +703,8 @@ def _median_first_crossing(group: list[RunSummary], threshold: float) -> float |
 def compare_runs(baseline: list[RunSummary], treatment: list[RunSummary],
                  threshold: float) -> SpeedupReport:
     """Median steps-to-threshold speedup of treatment over baseline."""
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    if not 0.0 < threshold < math.inf:  # written so that NaN fails it
+        raise ValueError(f"threshold must be finite and > 0, got {threshold!r}")
     if not baseline or not treatment:
         raise ValueError("both groups need at least one run")
     envs_seen = {s.env_id for s in baseline} | {s.env_id for s in treatment}

@@ -1,9 +1,9 @@
 """Minimal dense-network engine: forward/backward, Adam, target updates.
 
 All arithmetic is float64.  Gradients over a batch are means, so the
-learning rate is batch-size invariant.  Only the activations needed by the
-fixed loss forms in this package are supported: relu, linear, and softmax
-(output layer only).
+learning rate is batch-size invariant.  A layer is relu or linear: every net
+in the package is relu hidden layers under a linear output, and the agents
+take softmax over those outputs themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 
-ACTIVATIONS = ("relu", "linear", "softmax")
+ACTIVATIONS = ("relu", "linear")
 
 
 @dataclass
@@ -51,9 +51,6 @@ class DenseNet:
                 raise ShapeError(
                     f"layer dims do not chain: {prev.weights.shape} -> {cur.weights.shape}"
                 )
-        for layer in self.layers[:-1]:
-            if layer.activation == "softmax":
-                raise ValueError("softmax is only allowed on the output layer")
 
     @property
     def input_dim(self) -> int:
@@ -118,9 +115,9 @@ def init_net(dims: list[int], activations: list[str], rng: np.random.Generator) 
 
 
 def mlp(input_dim: int, output_dim: int, hidden: tuple[int, ...],
-        rng: np.random.Generator, output_activation: str = "linear") -> DenseNet:
+        rng: np.random.Generator) -> DenseNet:
     dims = [input_dim, *hidden, output_dim]
-    activations = ["relu"] * len(hidden) + [output_activation]
+    activations = ["relu"] * len(hidden) + ["linear"]
     return init_net(dims, activations, rng)
 
 
@@ -160,10 +157,6 @@ def _layer_output(layer: Layer, h: np.ndarray, out: np.ndarray | None = None) ->
     z += layer.biases
     if layer.activation == "relu":
         np.maximum(z, 0.0, out=z)
-    elif layer.activation == "softmax":
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
     return z
 
 
@@ -332,12 +325,9 @@ def backward(
     grads: list[np.ndarray] = [None] * (2 * len(net.layers))  # type: ignore[list-item]
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        y = acts.outputs[i]
         if layer.activation == "relu":
             # below the top layer g is backward's own array, so it is masked in place
-            g = np.multiply(g, y > 0.0, out=g if i < len(net.layers) - 1 else None)
-        elif layer.activation == "softmax":
-            g = y * (g - (g * y).sum(axis=1, keepdims=True))
+            g = np.multiply(g, acts.outputs[i] > 0.0, out=g if i < len(net.layers) - 1 else None)
         prev = acts.inputs if i == 0 else acts.outputs[i - 1]
         if prev.shape[1] != layer.weights.shape[0]:
             raise ShapeError("stale activations: layer input width changed")

@@ -15,6 +15,7 @@ as Python floats and text, not the whole array; the bytes are those of one
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Iterable, Iterator
 from typing import TextIO
@@ -183,7 +184,7 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
         if any(s < 0 for s in shape):
             raise FormatError(f"line {lineno}: negative shape entry")
         arr = np.frombuffer(field_float_bytes(row["data"], lineno, "data"), dtype=np.float64)
-        if arr.size != (int(np.prod(shape)) if shape else 1):
+        if arr.size != math.prod(shape):  # Python ints: an int64 product can wrap
             raise FormatError(f"line {lineno}: data length does not match shape")
         arrays[row["name"]] = arr.reshape(shape).copy()
     if list(arrays) != expected:

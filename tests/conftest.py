@@ -51,7 +51,10 @@ def four_rooms_vae(four_rooms_spec):
     return vae
 
 
+MARKED_FILES = {"test_acceptance.py": pytest.mark.acceptance, "test_golden.py": pytest.mark.golden}
+
+
 def pytest_collection_modifyitems(items):
     for item in items:
-        if item.path.name == "test_acceptance.py":
-            item.add_marker(pytest.mark.acceptance)
+        if item.path.name in MARKED_FILES:
+            item.add_marker(MARKED_FILES[item.path.name])

@@ -308,6 +308,27 @@ def test_a_bad_encoder_or_demo_flag_exits_with_a_config_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+BAD_RUN_FLAGS = {
+    **{f"threshold={v}": (["compare", "--baseline", "missing-a", "--treatment", "missing-b",
+                           "--threshold", v], "--threshold") for v in ("0", "-1", "nan", "inf")},
+    "episodes=0": (["evaluate", "--snapshot", "missing.jsonl", "--env", "room-nav",
+                    "--seed", "0", "--episodes", "0"], "--episodes"),
+    **{f"parallel={v}": (["train", "--config", "missing.cfg", "--parallel", v], "--parallel")
+       for v in ("0", "-3")},
+}
+
+
+@pytest.mark.parametrize("argv, flag", BAD_RUN_FLAGS.values(), ids=BAD_RUN_FLAGS)
+def test_a_bad_run_flag_exits_with_a_config_error_before_reading_anything(capsys, argv,
+                                                                          flag) -> None:
+    """Each named file or directory is missing, so reading it before the
+    flag check would fail with another message."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {flag} must be ")
+    assert captured.out == ""
+
+
 def test_a_malformed_snapshot_exits_with_a_format_error(tmp_path, capsys) -> None:
     path = str(tmp_path / "bad.snapshot.jsonl")
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import functools
+import json
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kickrl import encoders, nets
-from kickrl.errors import ShapeError
+from kickrl import encoders, envs, nets
+from kickrl.errors import FormatError, ShapeError
 
 CFG = encoders.VaeTrainConfig()
 
@@ -261,3 +266,164 @@ def test_random_corpus_equals_the_list_stacking_version(preset, n_traj, seed) ->
     assert corpus.flags.c_contiguous and corpus.flags.writeable
     corpus[0, 0] = 7.0  # the rows are the caller's: no two share memory
     assert np.array_equal(corpus[1:], reference[1:])
+
+
+# -- inputs the library refuses ------------------------------------------------------
+
+
+def _room_corpus() -> np.ndarray:
+    return encoders.collect_random_observations(envs.make_room_nav(), 2, seed=0)
+
+
+def test_train_vae_rejects_a_latent_dim_below_one() -> None:
+    with pytest.raises(ValueError, match="latent_dim must be >= 1"):
+        encoders.train_vae(_room_corpus(), 0)
+
+
+@pytest.mark.parametrize("corpus", [np.zeros((0, 128)), np.zeros(0)], ids=["no-rows", "1-D"])
+def test_train_vae_rejects_an_empty_corpus(corpus) -> None:
+    with pytest.raises(ValueError, match="observations must be a non-empty"):
+        encoders.train_vae(corpus, 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_standardizer_rejects_an_empty_corpus() -> None:
+    with pytest.raises(ValueError, match="observations must be a non-empty"):
+        encoders.fit_standardizer(_room_corpus()[:0])
+
+
+def test_random_corpus_needs_at_least_one_trajectory() -> None:
+    with pytest.raises(ValueError, match="n_traj must be >= 1"):
+        encoders.collect_random_observations(envs.make_room_nav(), 0)
+
+
+# -- properties: encoder files round-trip and survive single-field mutations ----------
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, float(2**60), -float(2**60)]
+_finite = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+_positive = (st.sampled_from([5e-324, 1e-300, float(2**60)])
+             | st.floats(min_value=5e-324, allow_infinity=False))
+_property_settings = settings(max_examples=200, deadline=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _arrays(draw, elements, shape) -> np.ndarray:
+    n = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n))).reshape(shape)
+
+
+@st.composite
+def _encoders(draw) -> encoders.Encoder:
+    """An identity, standardize or VAE encoder of width 1-4 whose parameters
+    draw on the edge values (a standardizer's std on positive ones)."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["identity", "standardize", "vae"]))
+    if kind == "identity":
+        return encoders.IdentityEncoder(dim)
+    if kind == "standardize":
+        return encoders.StandardizeEncoder(_arrays(draw, _finite, (dim,)),
+                                           _arrays(draw, _positive, (dim,)))
+    latent, hidden = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+
+    def net(dims):
+        acts = [draw(st.sampled_from(nets.ACTIVATIONS)) for _ in dims[1:]]
+        return nets.DenseNet([nets.Layer(_arrays(draw, _finite, (i, o)),
+                                         _arrays(draw, _finite, (o,)), a)
+                              for i, o, a in zip(dims, dims[1:], acts)])
+
+    return encoders.DenseVaeEncoder(net([dim, hidden, 2 * latent]),
+                                    net([latent, hidden, dim]), latent)
+
+
+def _bytes_of(enc: encoders.Encoder):
+    """Everything a saved encoder carries, with its arrays as bytes."""
+    arrays, meta = encoders.encoder_to_arrays(enc)
+    return {name: (arr.shape, arr.tobytes()) for name, arr in arrays.items()}, meta
+
+
+@_property_settings
+@given(enc=_encoders())
+def test_encoders_with_edge_values_load_back_bit_exactly(tmp_path, enc) -> None:
+    path = str(tmp_path / "edges.encoder.jsonl")
+    encoders.save_encoder(enc, path)
+    loaded = encoders.load_encoder(path)
+    assert type(loaded) is type(enc)
+    assert _bytes_of(loaded) == _bytes_of(enc)
+    assert loaded.encoder_id == enc.encoder_id
+
+
+def _edge_encoder_files(tmp_path) -> dict[str, list[str]]:
+    """The lines of one saved encoder of each kind, with edge values in every
+    array."""
+    edges = np.array(EDGE_VALUES)
+    vae = encoders.new_vae(input_dim=4, latent_dim=1, hidden=(3,), seed=0)
+    for p in (*vae.enc_net.param_arrays(), *vae.dec_net.param_arrays()):
+        p.flat[:len(edges)] = edges[:p.size]
+    made = {"identity": encoders.IdentityEncoder(4),
+            "standardize": encoders.StandardizeEncoder(
+                np.array([-0.0, 5e-324, 1e-300, 2.0**60]),
+                np.array([5e-324, 1e-300, 2.0**60, 1 / 3])),
+            "vae": vae}
+    files = {}
+    for kind, enc in made.items():
+        path = tmp_path / f"{kind}.encoder.jsonl"
+        encoders.save_encoder(enc, str(path))
+        files[kind] = path.read_text(encoding="utf-8").splitlines()
+    return files
+
+
+_numbers = st.sampled_from([-1, 0, 1, 2, 7, 2**60, 10**400, -(10**400), math.nan, math.inf,
+                            -math.inf]) | st.integers() | st.floats()
+_any_value = st.one_of(_numbers, st.none(), st.booleans(),
+                       st.sampled_from(["relu", "linear", "softmax", "vae", "identity",
+                                        "standardize", "enc.layer0.weights", "mean", "std"]),
+                       st.text(max_size=3), st.lists(_numbers, max_size=5),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _paths(value, path=()):
+    """Every place in a JSON value: the value itself and each dict field and
+    list element, at any depth."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _paths(child, (*path, key))
+
+
+def _mutate(data, record):
+    """``record`` with one place replaced or deleted, or a field added to it."""
+    path = data.draw(st.sampled_from(list(_paths(record))))
+    if not path:
+        return data.draw(_any_value)
+    parent = functools.reduce(lambda value, key: value[key], path[:-1], record)
+    how = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if how == "delete":
+        del parent[path[-1]]
+    elif how == "add" and isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=3))] = data.draw(_any_value)
+    else:
+        parent[path[-1]] = data.draw(_any_value)
+    return record
+
+
+@_property_settings
+@given(data=st.data())
+def test_a_single_field_mutation_loads_or_is_a_format_error_naming_a_line(tmp_path,
+                                                                         data) -> None:
+    """One place in one line of a saved encoder file, at any depth, is
+    replaced or deleted, or a field is added there.  Loading either gives
+    an encoder with finite parameters or raises a FormatError whose message
+    starts with the line it names."""
+    lines = _edge_encoder_files(tmp_path)[data.draw(st.sampled_from(["identity",
+                                                                     "standardize", "vae"]))]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    lines[index] = json.dumps(_mutate(data, json.loads(lines[index])))
+    path = tmp_path / "mutated.encoder.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        enc = encoders.load_encoder(str(path))
+    except FormatError as exc:
+        assert re.match(r"line \d+: ", str(exc)), str(exc)
+    else:
+        arrays, _ = encoders.encoder_to_arrays(enc)
+        assert all(np.all(np.isfinite(arr)) for arr in arrays.values())

@@ -41,7 +41,15 @@ def test_four_rooms_doorway_seeds_differ() -> None:
 
 def test_collect_requires_items() -> None:
     with pytest.raises(ValueError, match="item"):
-        envs.GridWorldSpec(kind="collect-grid", width=4, height=4,
+        envs.GridWorldSpec(kind="collect-grid", width=4, height=4)
+
+
+def test_reward_mode_follows_the_kind() -> None:
+    assert envs.make_collect().reward_mode == "collect"
+    assert {make().reward_mode for make in (envs.make_room_nav, envs.make_four_rooms,
+                                            envs.make_corridor)} == {"sparse-success"}
+    with pytest.raises(TypeError, match="reward_mode"):
+        envs.GridWorldSpec(kind="room-nav", width=4, height=4, goals=frozenset({(3, 3)}),
                            reward_mode="collect")
 
 

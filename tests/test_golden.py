@@ -7,12 +7,17 @@ must leave these hashes unchanged; `test_run_is_bitwise_reproducible` only
 shows a run agrees with itself.  The hashes assume single-thread
 numpy/OpenBLAS (the package pins it at import) on x86-64; another BLAS build
 may round the gemms differently.
+
+Each pinned `metrics.csv` is also kept as a file under `tests/golden/`, so a
+run that moves a hash is reported by its first differing row and column, and
+by whether its snapshot moved too.  `pytest -m golden` runs this module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from itertools import zip_longest
 
 import pytest
 
@@ -60,14 +65,54 @@ FOUR_ROOMS_VAE_SNAPSHOT = {
 VAE_FILE = "fa3bcc98f77fdb12eae59ecfd6eac6d40b20767279130e3ad930aa60af61e067"
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden_csv(group: str, case: str) -> str:
+    """The kept metrics.csv of a case: ``golden/room-nav/cdql-ae.kl-penalty.metrics.csv``."""
+    return os.path.join(GOLDEN_DIR, group, f"{case.replace(':', '.')}.metrics.csv")
+
+
 def sha256_of(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_hashes(tmp_path, kind: str, env_name: str, demo_path: str | None,
-               encoder_spec: str = "identity", ae_mode: str | None = None) -> tuple[str, str]:
-    """sha256 of the run's (metrics.csv, params.snapshot.jsonl)."""
+def first_difference(golden: str, actual: str) -> str:
+    """Where two metrics.csv texts part: the first differing data row (1 is
+    the first row under the header) and the column's header name."""
+    golden_rows, actual_rows = golden.splitlines(), actual.splitlines()
+    header = golden_rows[0].split(",")
+    for row, (want, got) in enumerate(zip_longest(golden_rows, actual_rows)):
+        if want == got:
+            continue
+        if want is None or got is None:
+            return f"row {row}: {'an extra row' if want is None else 'a missing row'}"
+        for col, (w, g) in enumerate(zip_longest(want.split(","), got.split(","))):
+            if w != g:
+                name = header[col] if col < len(header) else f"#{col}"
+                return f"row {row}, column {name!r}: golden {w!r}, this run {g!r}"
+    return "its line endings (no row differs)"
+
+
+def check_run(metrics_path: str, snapshot_path: str, group: str, case: str,
+              metrics_hash: str, snapshot_hash: str) -> None:
+    """Assert a run's hashes; a moved metrics.csv names where it parts from
+    its golden file and whether the snapshot moved with it."""
+    snapshot_moved = sha256_of(snapshot_path) != snapshot_hash
+    if sha256_of(metrics_path) != metrics_hash:
+        with open(golden_csv(group, case), encoding="utf-8") as fh:
+            golden = fh.read()
+        with open(metrics_path, encoding="utf-8") as fh:
+            where = first_difference(golden, fh.read())
+        pytest.fail(f"{group} {case}: metrics.csv moved at {where}; "
+                    f"the snapshot hash {'moved too' if snapshot_moved else 'held'}")
+    assert not snapshot_moved, f"{group} {case}: metrics.csv held but the snapshot moved"
+
+
+def run_files(tmp_path, kind: str, env_name: str, demo_path: str | None,
+              encoder_spec: str = "identity", ae_mode: str | None = None) -> tuple[str, str]:
+    """The paths of the run's (metrics.csv, params.snapshot.jsonl)."""
     hp = agents.scale_step_budgets(agents.defaults_for(kind), STEPS)
     if ae_mode is not None:
         hp.ae_mode = ae_mode
@@ -76,8 +121,8 @@ def run_hashes(tmp_path, kind: str, env_name: str, demo_path: str | None,
         out_dir=str(tmp_path / kind), hp=hp, encoder_spec=encoder_spec,
         demo_path=demo_path, eval_cadence=200, eval_episodes=3)
     harness.train_run(cfg)
-    return (sha256_of(os.path.join(cfg.out_dir, "metrics.csv")),
-            sha256_of(os.path.join(cfg.out_dir, "params.snapshot.jsonl")))
+    return (os.path.join(cfg.out_dir, "metrics.csv"),
+            os.path.join(cfg.out_dir, "params.snapshot.jsonl"))
 
 
 @pytest.fixture(scope="module")
@@ -97,21 +142,48 @@ def four_rooms_inputs(four_rooms_spec, four_rooms_store, tmp_path_factory):
 def test_room_nav_metrics_match_golden_hash(case, tmp_path, room_store_path) -> None:
     kind, _, ae_mode = case.partition(":")
     needs_demos = kind in agents.KINDS_NEEDING_DEMOS
-    metrics, snapshot = run_hashes(tmp_path, kind, "room-nav",
-                                   room_store_path if needs_demos else None,
-                                   ae_mode=ae_mode or None)
-    assert metrics == ROOM_NAV[case]
-    assert snapshot == ROOM_NAV_SNAPSHOT[case]
+    paths = run_files(tmp_path, kind, "room-nav", room_store_path if needs_demos else None,
+                      ae_mode=ae_mode or None)
+    check_run(*paths, "room-nav", case, ROOM_NAV[case], ROOM_NAV_SNAPSHOT[case])
 
 
 @pytest.mark.parametrize("kind", sorted(FOUR_ROOMS_VAE))
 def test_four_rooms_vae_metrics_match_golden_hash(kind, tmp_path, four_rooms_inputs) -> None:
     demo_path, encoder_spec = four_rooms_inputs
-    metrics, snapshot = run_hashes(tmp_path, kind, "four-rooms-nav", demo_path, encoder_spec)
-    assert metrics == FOUR_ROOMS_VAE[kind]
-    assert snapshot == FOUR_ROOMS_VAE_SNAPSHOT[kind]
+    paths = run_files(tmp_path, kind, "four-rooms-nav", demo_path, encoder_spec)
+    check_run(*paths, "four-rooms-vae", kind, FOUR_ROOMS_VAE[kind],
+              FOUR_ROOMS_VAE_SNAPSHOT[kind])
 
 
 def test_saved_vae_file_matches_golden_hash(four_rooms_inputs) -> None:
     _, encoder_spec = four_rooms_inputs
     assert sha256_of(encoder_spec.split(":", 1)[1]) == VAE_FILE
+
+
+GOLDEN_FILES = [("room-nav", case, ROOM_NAV[case]) for case in sorted(ROOM_NAV)] + [
+    ("four-rooms-vae", kind, FOUR_ROOMS_VAE[kind]) for kind in sorted(FOUR_ROOMS_VAE)]
+
+
+@pytest.mark.parametrize("group, case, digest", GOLDEN_FILES,
+                         ids=[f"{group}-{case}" for group, case, _ in GOLDEN_FILES])
+def test_each_golden_metrics_file_has_its_recorded_hash(group, case, digest) -> None:
+    assert sha256_of(golden_csv(group, case)) == digest
+
+
+def test_a_moved_run_names_its_first_differing_row_and_column(tmp_path) -> None:
+    with open(golden_csv("room-nav", "cdql"), encoding="utf-8") as fh:
+        golden = fh.read()
+    rows = golden.splitlines(keepends=True)
+    cells = rows[2].split(",")
+    was, cells[5] = cells[5], "0.5"  # loss_td at step 200
+    moved = "".join([*rows[:2], ",".join(cells), *rows[3:]])
+    assert first_difference(golden, moved) == (
+        f"row 2, column 'loss_td': golden {was!r}, this run '0.5'")
+    assert first_difference(golden, golden + "1,2\n") == "row 5: an extra row"
+    (tmp_path / "metrics.csv").write_text(moved, encoding="utf-8")
+    (tmp_path / "snapshot.jsonl").write_text("{}\n", encoding="utf-8")
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"^room-nav cdql: metrics.csv moved at row 2, column 'loss_td'"
+                             r".*; the snapshot hash moved too$"):
+        check_run(str(tmp_path / "metrics.csv"), str(tmp_path / "snapshot.jsonl"),
+                  "room-nav", "cdql", ROOM_NAV["cdql"], ROOM_NAV_SNAPSHOT["cdql"])

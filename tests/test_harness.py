@@ -454,8 +454,9 @@ def test_compare_never_crossing_reports_not_reached() -> None:
 
 def test_compare_rejects_non_positive_threshold() -> None:
     group = [_summary("env-a", "cdql", 0, [0], [1.0])]
-    with pytest.raises(ValueError):
-        harness.compare_runs(group, group, threshold=0.0)
+    for threshold in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+            harness.compare_runs(group, group, threshold=threshold)
 
 
 def test_compare_rejects_mixed_environments() -> None:

@@ -62,21 +62,20 @@ def test_replay_holds_under_one_and_a_half_mb_after_3000_pushes(make_spec) -> No
     """3,000 random-policy steps pushed as the training loop pushes them: each
     step's Transition and observation arrays are new."""
     spec = make_spec()
-    env = envs.GridEnv(spec)
     rng = np.random.default_rng(1)
     actions = rng.integers(0, spec.action_count, 3000)
     tracemalloc.start()
     try:
         buffer = harness.ReplayBuffer(10_000)
-        obs, episode = None, 0
+        state, obs, episode = None, None, 0
         for action in actions.tolist():
-            if obs is None or env.state.done:
-                _, obs = env.reset(spawn_seed(1, "episode", episode))
+            if obs is None or state.done:
+                state, obs = envs.reset(spec, spawn_seed(1, "episode", episode))
                 episode += 1
-            res = env.step(action)
+            res = envs.step(spec, state, action)
             buffer.push(Transition(obs=obs, action=action, reward=res.reward,
                                    next_obs=res.observation, terminated=res.terminated,
-                                   truncated=res.truncated, t=env.state.t - 1))
+                                   truncated=res.truncated, t=state.t - 1))
             obs = res.observation
         held, _ = tracemalloc.get_traced_memory()
     finally:

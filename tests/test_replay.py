@@ -13,11 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kickrl import agents, harness
+from kickrl import agents, envs, harness
 from kickrl.agents import ArrayBatch
 from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder, new_vae
-from kickrl.envs import GridEnv
 from kickrl.seeding import spawn_rng, spawn_seed
 
 
@@ -55,18 +54,17 @@ def list_her_augment(batch, buffer, n_extra, rng):
 
 def grid_transitions(spec, n: int, seed: int) -> list[Transition]:
     """n random-policy steps, as the training loop records them."""
-    env = GridEnv(spec)
     rng = np.random.default_rng(seed)
-    out, obs, episode = [], None, 0
+    out, state, obs, episode = [], None, None, 0
     for _ in range(n):
-        if obs is None or env.state.done:
-            _, obs = env.reset(spawn_seed(seed, "episode", episode))
+        if obs is None or state.done:
+            state, obs = envs.reset(spec, spawn_seed(seed, "episode", episode))
             episode += 1
         action = int(rng.integers(spec.action_count))
-        res = env.step(action)
+        res = envs.step(spec, state, action)
         out.append(Transition(obs=obs, action=action, reward=res.reward,
                               next_obs=res.observation, terminated=res.terminated,
-                              truncated=res.truncated, t=env.state.t - 1))
+                              truncated=res.truncated, t=state.t - 1))
         obs = res.observation
     return out
 

@@ -154,6 +154,13 @@ def _shape_not_ints(lines):
     lines[1] = json.dumps(row)
 
 
+def _shape_product_wraps_to_the_length(lines):
+    row = json.loads(lines[1])
+    row["shape"] = [2**62 + 1, 4]  # an int64 product of 2**64 + 4 wraps to 4
+    row["data"] = row["data"][:4]
+    lines[1] = json.dumps(row)
+
+
 def _meta_as_list(lines):
     header = json.loads(lines[0])
     header["meta"] = ["kind", "test"]
@@ -169,7 +176,7 @@ def _string_in_data(lines):
 @pytest.mark.parametrize("corrupt, line", [
     (_header_as_list, 1), (_row_as_list, 3), (_bad_json, 2), (_blank_line, 3),
     (_short_data, 2), (_renamed_array, 1), (_shape_not_ints, 2), (_meta_as_list, 1),
-    (_string_in_data, 3),
+    (_string_in_data, 3), (_shape_product_wraps_to_the_length, 2),
 ])
 def test_bad_named_array_files_are_format_errors_naming_the_line(tmp_path, corrupt,
                                                                  line) -> None:
