@@ -12,7 +12,6 @@ from .agents import (
     AGENT_KINDS,
     Hyperparams,
     LossBreakdown,
-    adversarial_estimate,
     defaults_for,
     eps_at,
     scale_step_budgets,
@@ -37,7 +36,7 @@ from .harness import (
     run_seeds,
     train_run,
 )
-from .retrieval import DirichletBelief, LatentIndex, build_index, knn, posterior_update
+from .retrieval import DirichletBelief, LatentIndex, build_index, posterior_update
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "Trajectory",
     "Transition",
     "VaeTrainConfig",
-    "adversarial_estimate",
     "beta_schedule",
     "build_index",
     "compare_runs",
@@ -65,7 +63,6 @@ __all__ = [
     "eps_at",
     "evaluate",
     "generate_demos",
-    "knn",
     "load_demos",
     "make_collect",
     "make_corridor",

@@ -24,8 +24,7 @@ import numpy as np
 from .demos import Transition
 from .nets import (Activations, AdamState, DenseNet, RowMemo, RowTable, adam_step, backward,
                    forward, forward_values, mlp, net_to_arrays, soft_update)
-from .retrieval import (METRICS, LatentIndex, expert_estimate, knn, knn_batch,
-                        neighbor_action_counts)
+from .retrieval import LatentIndex, knn_batch, neighbor_action_counts
 from .seeding import spawn_rng
 
 AE_MODES = ("target-shaping", "q-regression", "kl-penalty")
@@ -55,7 +54,6 @@ class Hyperparams:
     offline_steps: int = 0
     her_extra: int = 16
     distill_temperature: float = 1.0
-    knn_metric: str = "l2"
 
     def __post_init__(self) -> None:
         # every check below is written so that NaN fails it
@@ -72,8 +70,6 @@ class Hyperparams:
             raise ValueError("tau must lie in [0, 1]")
         if self.ae_mode not in AE_MODES:
             raise ValueError(f"unknown ae_mode {self.ae_mode!r}")
-        if self.knn_metric not in METRICS:
-            raise ValueError(f"unknown knn_metric {self.knn_metric!r} (choose from {METRICS})")
         for name in ("her_extra", "offline_steps", "exploration_fraction"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -259,71 +255,39 @@ def td_step(batch: ArrayBatch, targets: np.ndarray, q_online: DenseNet,
 
 
 # -- adversarial estimates ------------------------------------------------------
+# z, a transition's adversarial estimate, is the mean target-net value of its k
+# nearest demo latents minus its reward (AdversarialKickstartLearner.z_for_batch).
+# Each rule below applies z in one ae_mode.
 
 
-def adversarial_estimate(transition: Transition, index: LatentIndex, q_target_eval,
-                         encoder, k: int) -> float:
-    """Mean target-net value over the k most similar stored transitions,
-    minus the reward this transition actually observed."""
-    latent = encoder.encode(transition.obs)
-    result = knn(index, latent, k)
-    return expert_estimate(index, result, q_target_eval) - transition.reward
+def shaped_target(batch: ArrayBatch, z: np.ndarray, lam: float, q_online: DenseNet,
+                  q_target, gamma: float) -> np.ndarray:
+    """target-shaping: the clipped bootstrap on the shaped reward r - lam*z,
+    so at lam=0 the targets are bit-for-bit clipped_target's."""
+    return (batch.rewards - lam * z) + _min_bootstrap(batch, q_online, q_target, gamma)
 
 
-@dataclass
-class AEApplication:
-    """Outcome of applying the kickstarting penalty in one of three modes."""
+def q_regression_penalty(q_values: np.ndarray, actions: np.ndarray, estimates: np.ndarray,
+                         lam: float) -> tuple[float, np.ndarray]:
+    """q-regression: lam * the squared error of the taken actions' values to
+    the expert estimates (z + r), and its per-row gradient."""
+    rows = np.arange(len(actions))
+    resid = q_values[rows, actions] - estimates
+    grad_rows = np.zeros_like(q_values)
+    grad_rows[rows, actions] = lam * 2.0 * resid
+    return float(lam * np.mean(np.square(resid))), grad_rows
 
-    targets: np.ndarray | None = None  # target-shaping only
-    penalty_loss: float = 0.0  # scaled auxiliary value (other modes)
-    penalty_grad_rows: np.ndarray | None = None
 
-
-def ae_apply(batch: ArrayBatch, z_values: np.ndarray, lam: float, mode: str,
-             q_online: DenseNet, q_target, gamma: float,
-             q_values: np.ndarray | None = None,
-             search_probs: np.ndarray | None = None) -> AEApplication:
-    """Turn per-transition estimates into a training-signal modification.
-
-    target-shaping: the penalty enters as shaped reward r - lam*z inside the
-    usual clipped bootstrap, so at lam=0 the targets are bit-for-bit the
-    vanilla ones.  q-regression and kl-penalty return an auxiliary loss and
-    per-sample gradient rows to add to the TD gradient; both need the current
-    ``q_values`` forward of the online net (kl-penalty also needs the search
-    policy's per-row action distributions).
-    """
-    if mode not in AE_MODES:
-        raise ValueError(f"unknown ae mode {mode!r}")
-    if len(z_values) != len(batch):
-        raise ValueError("z values not aligned with batch")
-    if mode == "target-shaping":
-        shaped = (batch.rewards - lam * z_values) + _min_bootstrap(
-            batch, q_online, q_target, gamma)
-        return AEApplication(targets=shaped)
-    if q_values is None:
-        raise ValueError(f"{mode} needs the current online q_values")
-    rows = np.arange(len(batch))
-    if mode == "q-regression":
-        estimates = z_values + batch.rewards  # recover the raw expert estimate
-        resid = q_values[rows, batch.actions] - estimates
-        grad_rows = np.zeros_like(q_values)
-        grad_rows[rows, batch.actions] = lam * 2.0 * resid
-        return AEApplication(
-            penalty_loss=float(lam * np.mean(np.square(resid))),
-            penalty_grad_rows=grad_rows,
-        )
-    # kl-penalty: lam * KL(softmax(q) || search policy), forward direction
-    if search_probs is None:
-        raise ValueError("kl-penalty needs the search policy distributions")
+def kl_penalty(q_values: np.ndarray, search_probs: np.ndarray,
+               lam: float) -> tuple[float, np.ndarray]:
+    """kl-penalty: lam * the batch-mean KL(softmax(q) || search policy),
+    forward direction, and its per-row gradient."""
     p = softmax(q_values)
     log_p = np.log(np.maximum(p, 1e-300))
     log_q = np.log(np.maximum(search_probs, PROB_FLOOR))
     per_sample = np.sum(p * (log_p - log_q), axis=1)
     grad_rows = lam * p * ((log_p - log_q) - per_sample[:, None])
-    return AEApplication(
-        penalty_loss=float(lam * per_sample.mean()),
-        penalty_grad_rows=grad_rows,
-    )
+    return float(lam * per_sample.mean()), grad_rows
 
 
 # -- distillation ---------------------------------------------------------------
@@ -540,10 +504,11 @@ class AdversarialKickstartLearner(QLearner):
 
     The target net is constant between target updates, so its values over
     every index row (at the stored actions) are cached and refreshed exactly
-    when the targets move; a contract test pins this cache to the slow
-    per-transition path.  Neighbour rows are memoised per latent (see
-    _neighbors).  With lam == 0 the penalty machinery is skipped entirely and
-    training steps are bit-for-bit vanilla.
+    when the targets move; tests pin z_for_batch to an oracle that searches by
+    a plain sort and runs the target net one row at a time.  Neighbour rows
+    are memoised per latent (see _neighbors).  train_batch is the one place
+    that branches on ae_mode.  With lam == 0 the penalty machinery is skipped
+    entirely and training steps are bit-for-bit vanilla.
     """
 
     kind = "cdql-ae"
@@ -582,8 +547,7 @@ class AdversarialKickstartLearner(QLearner):
         ids = self._searched.add_all(batch.latents)
         searched = len(self._neighbor_rows)
         if len(self._searched) > searched:
-            idx, _ = knn_batch(self.index, self._searched.rows[searched:],
-                               self.hp.k_neighbors, metric=self.hp.knn_metric)
+            idx, _ = knn_batch(self.index, self._searched.rows[searched:], self.hp.k_neighbors)
             self._neighbor_rows = np.concatenate([self._neighbor_rows, idx])
         return self._neighbor_rows[ids]
 
@@ -596,22 +560,22 @@ class AdversarialKickstartLearner(QLearner):
         neighbor_idx = self._neighbors(batch)
         z = self.z_for_batch(batch, neighbor_idx)
         if self.hp.ae_mode == "target-shaping":
-            app = ae_apply(batch, z, self.hp.lam, "target-shaping",
-                           self.q, self.target_values, self.hp.gamma)
-            td = td_step(batch, app.targets, self.q, self.opt)
+            targets = shaped_target(batch, z, self.hp.lam, self.q, self.target_values,
+                                    self.hp.gamma)
+            td = td_step(batch, targets, self.q, self.opt)
             return LossBreakdown(td=td, ae=float(z.mean()), total=td)
 
         targets = self.compute_targets(batch)
         acts = forward(self.q, batch.latents, work=self.opt)
         td_loss, td_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
-        kwargs = {"q_values": acts.final}
-        if self.hp.ae_mode == "kl-penalty":
+        if self.hp.ae_mode == "q-regression":
+            penalty, penalty_rows = q_regression_penalty(
+                acts.final, batch.actions, z + batch.rewards, self.hp.lam)
+        else:  # kl-penalty
             counts = neighbor_action_counts(self.index, neighbor_idx)
-            kwargs["search_probs"] = counts / neighbor_idx.shape[1]
-        app = ae_apply(batch, z, self.hp.lam, self.hp.ae_mode,
-                       self.q, self.target_values, self.hp.gamma, **kwargs)
-        total = descend(self.q, self.opt, acts, td_loss + app.penalty_loss,
-                        td_rows + app.penalty_grad_rows)
+            penalty, penalty_rows = kl_penalty(acts.final, counts / neighbor_idx.shape[1],
+                                               self.hp.lam)
+        total = descend(self.q, self.opt, acts, td_loss + penalty, td_rows + penalty_rows)
         return LossBreakdown(td=td_loss, ae=float(z.mean()), total=total)
 
 
@@ -731,4 +695,3 @@ LEARNERS: dict[str, type[Learner]] = {
                               AwacLearner, HerLearner, BCLearner)
 }
 AGENT_KINDS = tuple(LEARNERS)
-KINDS_NEEDING_DEMOS = tuple(kind for kind, cls in LEARNERS.items() if cls.needs_demos)

@@ -138,6 +138,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     checkpoints = _int_list(args.checkpoints, "--checkpoints")
+    if min(checkpoints) < 0:
+        raise ConfigError(f"--checkpoints must be >= 0, got {args.checkpoints!r}")
     summaries = []
     for root in args.runs:
         summaries.extend(discover_runs(root))

@@ -42,7 +42,7 @@ from .encoders import (
     load_encoder,
 )
 from .envs import GridWorldSpec, PRESETS, episode_success
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .nets import DenseNet, RowTable, net_from_arrays
 from .retrieval import build_index
 from .seeding import spawn_rng, spawn_seed
@@ -586,15 +586,40 @@ class RunSummary:
 
 
 def load_run(run_dir: str) -> RunSummary:
+    """The summary.json in run_dir.  Text that is not a JSON object, or a
+    field report/compare read that is missing or of the wrong type, is a
+    FormatError naming the file and the field."""
     path = os.path.join(run_dir, "summary.json")
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise FormatError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: not a JSON object")
+
+    def field(record, name: str, kinds, rule: str, where: str = ""):
+        value = record.get(name) if isinstance(record, dict) else None
+        if (not isinstance(value, kinds) or isinstance(value, bool)
+                or (isinstance(value, float) and not math.isfinite(value))):
+            raise FormatError(f"{path}: {where}{name} is {value!r}, not {rule}")
+        return value
+
+    env_id = field(payload, "env_id", str, "a string")
+    agent = field(payload, "agent", str, "a string")
+    seed = field(payload, "seed", int, "an int")
+    rows = field(payload, "rows", list, "a list")
+    if not rows:
+        raise FormatError(f"{path}: rows is empty")
+    steps = [field(r, "step", int, "an int", f"rows[{i}].") for i, r in enumerate(rows)]
+    for i in range(1, len(steps)):  # report and compare read the rows in step order
+        if steps[i] <= steps[i - 1]:
+            raise FormatError(f"{path}: rows[{i}].step is {steps[i]}, "
+                              f"not above rows[{i - 1}].step {steps[i - 1]}")
     return RunSummary(
-        env_id=payload["env_id"],
-        agent=payload["agent"],
-        seed=payload["seed"],
-        steps=[r["step"] for r in payload["rows"]],
-        mean_returns=[r["mean_return"] for r in payload["rows"]],
+        env_id=env_id, agent=agent, seed=seed, steps=steps,
+        mean_returns=[field(r, "mean_return", (int, float), "a finite number", f"rows[{i}].")
+                      for i, r in enumerate(rows)],
     )
 
 
@@ -623,7 +648,7 @@ def _value_at_checkpoint(summary: RunSummary, checkpoint: int) -> float:
     if best is None:
         raise ValueError(
             f"checkpoint {checkpoint} precedes the first metric row "
-            f"(first row at step {summary.steps[0] if summary.steps else '?'})")
+            f"(first row at step {summary.steps[0]})")
     return best
 
 

@@ -1,4 +1,4 @@
-"""Latent similarity search over the demo store and the search-based expert.
+"""Exact latent similarity search over the demo store.
 
 Search is exact and exhaustive.  A demo store repeats its states many times
 (room-nav: 1,557 rows holding 63 distinct latents), so the index keeps its
@@ -8,12 +8,14 @@ share a latent therefore share one distance, distances are never negative,
 and each query's result depends on that query alone, not on the rest of its
 batch.  Every row takes its latent's distance, and one stable sort of the rows
 by distance gives the k nearest in ascending distance, ties to the lowest row.
+agents builds the adversarial estimate on the neighbours
+(AdversarialKickstartLearner.z_for_batch) and kl-penalty's search policy on
+their stored actions (neighbor_action_counts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +23,6 @@ from .demos import DemoStore
 from .encoders import Encoder
 from .errors import ShapeError
 from .nets import RowTable
-
-METRICS = ("l2", "cosine")
 
 
 @dataclass
@@ -60,11 +60,6 @@ class LatentIndex:
         return self.latents.shape[1]
 
 
-class QueryResult(NamedTuple):
-    indices: np.ndarray  # ascending distance, ties by lowest row index
-    distances: np.ndarray  # squared L2 (or cosine distance)
-
-
 def build_index(store: DemoStore, encoder: Encoder) -> LatentIndex:
     """Encode every stored transition, preserving store order."""
     rows, actions, rewards, provenance = [], [], [], []
@@ -95,33 +90,24 @@ def build_index(store: DemoStore, encoder: Encoder) -> LatentIndex:
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _distinct_distances(index: LatentIndex, queries: np.ndarray, metric: str) -> np.ndarray:
-    """(B, M) distances from each query to each distinct latent, direct form."""
-    distinct = index._distinct[None, :, :]
-    if metric == "l2":
-        diff = distinct - queries[:, None, :]
-        return np.square(diff, out=diff).sum(axis=2)
-    dots = (distinct * queries[:, None, :]).sum(axis=2)  # cosine
-    q_norms = np.sqrt(np.square(queries).sum(axis=1))
-    u_norms = np.sqrt(np.square(index._distinct).sum(axis=1))
-    return 1.0 - dots / np.maximum(q_norms[:, None] * u_norms[None, :], 1e-300)
+def _distinct_distances(index: LatentIndex, queries: np.ndarray) -> np.ndarray:
+    """(B, M) squared distances from each query to each distinct latent, direct form."""
+    diff = index._distinct[None, :, :] - queries[:, None, :]
+    return np.square(diff, out=diff).sum(axis=2)
 
 
-def knn_batch(index: LatentIndex, queries: np.ndarray, k: int,
-              metric: str = "l2") -> tuple[np.ndarray, np.ndarray]:
+def knn_batch(index: LatentIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k-nearest rows for each query: (B, k) indices and distances.
 
-    Distances are squared L2 (or cosine distance) in the direct form, the
-    order is a stable sort of the rows by distance (ties to the lowest row), and
-    row i of the result equals the result of querying queries[i] alone, bit
-    for bit.  Queries go through in chunks of bounded size.
+    Distances are squared L2 in the direct form, the order is a stable sort
+    of the rows by distance (ties to the lowest row), and row i of the result
+    equals the result of querying queries[i] alone, bit for bit.  Queries go
+    through in chunks of bounded size.
     """
     if len(index) == 0:
         raise RuntimeError("cannot query an empty index")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ShapeError(f"query shape {queries.shape} incompatible with index dim {index.dim}")
@@ -131,31 +117,11 @@ def knn_batch(index: LatentIndex, queries: np.ndarray, k: int,
     per_query = max(index._distinct.size, len(index))
     chunk = max(1, _CHUNK_ELEMENTS // per_query)
     for lo in range(0, len(queries), chunk):
-        dist = _distinct_distances(index, queries[lo:lo + chunk], metric)[:, index._row_distinct]
+        dist = _distinct_distances(index, queries[lo:lo + chunk])[:, index._row_distinct]
         rows = np.argsort(dist, axis=1, kind="stable")[:, :k]
         indices[lo:lo + chunk] = rows
         distances[lo:lo + chunk] = np.take_along_axis(dist, rows, axis=1)
     return indices, distances
-
-
-def knn(index: LatentIndex, query: np.ndarray, k: int, metric: str = "l2") -> QueryResult:
-    """Exact k-nearest rows to one query: row 0 of knn_batch on that query."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise ShapeError(f"query shape {query.shape} is not a vector")
-    indices, distances = knn_batch(index, query[None, :], k, metric)
-    return QueryResult(indices=indices[0], distances=distances[0])
-
-
-def expert_estimate(index: LatentIndex, result: QueryResult,
-                    q_target: Callable[[np.ndarray, int], float]) -> float:
-    """Mean target-network value over retrieved (latent, stored action) pairs."""
-    if len(result.indices) == 0:
-        raise ValueError("empty query result")
-    total = 0.0
-    for i in result.indices:
-        total += float(q_target(index.latents[i], int(index.actions[i])))
-    return total / len(result.indices)
 
 
 def neighbor_action_counts(index: LatentIndex, neighbor_idx: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ import pytest
 
 from kickrl import agents, demos, encoders, envs, harness, nets, retrieval
 from kickrl.demos import Transition
-from kickrl.encoders import IdentityEncoder
 from kickrl.nets import forward, grad_check, mlp
 from kickrl.seeding import spawn_rng
 
@@ -127,34 +126,37 @@ def test_reduction_equivalence_bitwise(tmp_path) -> None:
 # -- adversarial-estimate oracle -------------------------------------------------
 
 
-def test_adversarial_estimate_matches_direct_arithmetic() -> None:
-    """1000 random (neighbor-set, reward) instances within 1e-12 absolute."""
+def test_batched_estimates_match_direct_arithmetic() -> None:
+    """1000 random (neighbor-set, reward) instances of z_for_batch within 1e-12
+    absolute of a per-row oracle: neighbours by a plain sort of direct-form
+    squared distances, values by one-row forwards of the target net."""
     rng = np.random.default_rng(42)
     checked = 0
     for trial in range(50):
         n = int(rng.integers(20, 80))
         dim = int(rng.integers(2, 6))
+        latents = rng.standard_normal((n, dim))
         index = retrieval.LatentIndex(
-            latents=rng.standard_normal((n, dim)),
-            actions=rng.integers(0, 4, n), rewards=np.zeros(n),
+            latents=latents, actions=rng.integers(0, 4, n), rewards=np.zeros(n),
             provenance=[(0, i) for i in range(n)],
             encoder_id=f"identity:{dim}", env_id="oracle", action_count=4)
-        q_table = rng.standard_normal((n, 4))
-
-        def q_eval(latent, action, index=index, q_table=q_table):
-            row = int(np.flatnonzero((index.latents == latent).all(axis=1))[0])
-            return float(q_table[row, action])
 
         for _ in range(20):
             obs = rng.standard_normal(dim)
             reward = float(rng.standard_normal())
-            tr = Transition(obs=obs, action=0, reward=reward, next_obs=obs,
-                            terminated=False, truncated=False, t=0)
             k = int(rng.integers(1, 12))
-            z = agents.adversarial_estimate(tr, index, q_eval,
-                                            IdentityEncoder(dim), k)
-            neighbors = retrieval.knn(index, obs, k).indices
-            direct = sum(q_table[i, index.actions[i]] for i in neighbors) / len(neighbors)
+            hp = agents.Hyperparams(lam=1.0, k_neighbors=k, hidden=(8,))
+            learner = agents.AdversarialKickstartLearner(dim, 4, hp, trial, index)
+            batch = agents.ArrayBatch(
+                latents=obs[None, :], actions=np.zeros(1, dtype=np.int64),
+                rewards=np.array([reward]), next_latents=obs[None, :],
+                terminated=np.zeros(1), truncated=np.zeros(1))
+            z = learner.z_for_batch(batch, learner._neighbors(batch))[0]
+            d2 = np.sum((latents - obs) ** 2, axis=1)
+            neighbors = sorted(range(n), key=lambda i: (d2[i], i))[:k]
+            values = [forward(learner.q_target, latents[i][None, :]).final[0][index.actions[i]]
+                      for i in neighbors]
+            direct = sum(values) / len(neighbors)
             assert abs(z - (direct - reward)) <= 1e-12
             checked += 1
     assert checked == 1000
@@ -178,9 +180,9 @@ def test_knn_equals_brute_force_on_200_indexes() -> None:
         d2 = np.sum((latents - query) ** 2, axis=1)
         order = sorted(range(1000), key=lambda i: (d2[i], i))
         for k in (1, 4, 8, 32):
-            res = retrieval.knn(index, query, k)
-            assert list(res.indices) == order[:k]
-            assert np.array_equal(res.distances, d2[order[:k]])
+            indices, distances = retrieval.knn_batch(index, query[None, :], k)
+            assert list(indices[0]) == order[:k]
+            assert np.array_equal(distances[0], d2[order[:k]])
     _announce("retrieval oracle (200 indexes x k in {1,4,8,32}, exact)")
 
 
@@ -220,20 +222,14 @@ def test_every_loss_path_passes_finite_difference_checks() -> None:
     check("ae-target-shaping", mlp(3, 4, (6,), spawn_rng(2, "sh")), shaped_proc)
 
     # q-regression auxiliary
-    batch = agents.ArrayBatch(
-        latents=latents, actions=actions, rewards=rng.standard_normal(6),
-        next_latents=rng.standard_normal((6, 3)),
-        terminated=np.zeros(6), truncated=np.zeros(6))
-    z_values = rng.standard_normal(6)
-    q_target = mlp(3, 4, (6,), spawn_rng(3, "qt"))
+    estimates = rng.standard_normal(6)  # the expert estimates z + r, held constant
 
     def qreg_proc(net):
         acts = forward(net, latents)
         td_loss, td_rows = agents.td_loss_and_grad_rows(acts.final, actions, targets)
-        app = agents.ae_apply(batch, z_values, 0.8, "q-regression", net, q_target,
-                              0.99, q_values=acts.final)
-        grads, _ = nets.backward(net, acts, td_rows + app.penalty_grad_rows)
-        return td_loss + app.penalty_loss, grads
+        penalty, penalty_rows = agents.q_regression_penalty(acts.final, actions, estimates, 0.8)
+        grads, _ = nets.backward(net, acts, td_rows + penalty_rows)
+        return td_loss + penalty, grads
 
     check("ae-q-regression", mlp(3, 4, (6,), spawn_rng(4, "qr")), qreg_proc)
 
@@ -243,10 +239,9 @@ def test_every_loss_path_passes_finite_difference_checks() -> None:
     def kl_proc(net):
         acts = forward(net, latents)
         td_loss, td_rows = agents.td_loss_and_grad_rows(acts.final, actions, targets)
-        app = agents.ae_apply(batch, z_values, 0.8, "kl-penalty", net, q_target,
-                              0.99, q_values=acts.final, search_probs=search_probs)
-        grads, _ = nets.backward(net, acts, td_rows + app.penalty_grad_rows)
-        return td_loss + app.penalty_loss, grads
+        penalty, penalty_rows = agents.kl_penalty(acts.final, search_probs, 0.8)
+        grads, _ = nets.backward(net, acts, td_rows + penalty_rows)
+        return td_loss + penalty, grads
 
     check("ae-kl-penalty", mlp(3, 4, (6,), spawn_rng(5, "kl")), kl_proc)
 

@@ -63,8 +63,7 @@ def test_memoised_neighbors_equal_a_fresh_search_on_vae_latents(
 
     def checked(self, batch):
         got = memoised(self, batch)
-        fresh, _ = retrieval.knn_batch(self.index, batch.latents, self.hp.k_neighbors,
-                                       metric=self.hp.knn_metric)
+        fresh, _ = retrieval.knn_batch(self.index, batch.latents, self.hp.k_neighbors)
         assert np.array_equal(got, fresh)
         learners.add(self)
         batches.append(len(batch))

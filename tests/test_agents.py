@@ -68,10 +68,6 @@ def test_hyperparams_validation() -> None:
     with pytest.raises(ValueError):
         agents.Hyperparams(lam=-0.1)
     with pytest.raises(ValueError):
-        agents.Hyperparams(ae_mode="bogus")
-    with pytest.raises(ValueError):
-        agents.Hyperparams(knn_metric="l1")
-    with pytest.raises(ValueError):
         agents.Hyperparams(her_extra=-1)
     with pytest.raises(ValueError):
         agents.Hyperparams(learning_rate=0.0)
@@ -263,60 +259,65 @@ def test_td_step_rejects_non_finite_targets() -> None:
 # -- adversarial estimates ----------------------------------------------------------------
 
 
-def _toy_index(values=(0.5, 0.7, 0.9)) -> retrieval.LatentIndex:
-    n = len(values)
-    return retrieval.LatentIndex(
-        latents=np.arange(n, dtype=float)[:, None] * 0.001,
-        actions=np.zeros(n, dtype=int), rewards=np.zeros(n),
-        provenance=[(0, i) for i in range(n)], encoder_id="identity:1",
-        env_id="toy", action_count=2)
+def z_oracle(learner: agents.AdversarialKickstartLearner, batch: agents.ArrayBatch) -> np.ndarray:
+    """z_for_batch row by row: neighbours by a plain sort of direct-form squared
+    distances, values by a one-row forward of the target net."""
+    index = learner.index
+    k = min(learner.hp.k_neighbors, len(index))
+    z = []
+    for latent, reward in zip(batch.latents, batch.rewards):
+        d2 = np.sum((index.latents - latent) ** 2, axis=1)
+        rows = sorted(range(len(index)), key=lambda i: (d2[i], i))[:k]
+        values = [forward(learner.q_target, index.latents[i][None, :]).final[0][index.actions[i]]
+                  for i in rows]
+        z.append(sum(values) / len(values) - reward)
+    return np.array(z)
+
+
+def _ae_learner(latents: np.ndarray, actions: np.ndarray, k: int,
+                seed: int = 0) -> agents.AdversarialKickstartLearner:
+    n, dim = latents.shape
+    index = retrieval.LatentIndex(
+        latents=latents, actions=actions, rewards=np.zeros(n),
+        provenance=[(0, i) for i in range(n)], encoder_id=f"identity:{dim}",
+        env_id="toy", action_count=4)
+    hp = agents.Hyperparams(lam=1.0, k_neighbors=k, hidden=(8,))
+    return agents.AdversarialKickstartLearner(dim, 4, hp, seed, index)
+
+
+def _query_batch(latents: np.ndarray, rewards: np.ndarray) -> agents.ArrayBatch:
+    n = len(latents)
+    return agents.ArrayBatch(latents=latents, actions=np.zeros(n, dtype=np.int64),
+                             rewards=np.asarray(rewards, dtype=np.float64),
+                             next_latents=latents, terminated=np.zeros(n),
+                             truncated=np.zeros(n))
 
 
 def test_estimate_is_zero_when_reward_matches_neighbor_mean() -> None:
-    index = _toy_index()
-    values = {i: v for i, v in enumerate((0.5, 0.7, 0.9))}
-    tr = Transition(obs=np.array([0.0]), action=0, reward=0.7,
-                    next_obs=np.array([0.0]), terminated=False, truncated=False, t=0)
-    z = agents.adversarial_estimate(
-        tr, index, lambda latent, a: values[round(float(latent[0]) / 0.001)],
-        IdentityEncoder(1), k=3)
-    assert z == pytest.approx(0.0, abs=1e-12)
+    learner = _ae_learner(np.arange(3, dtype=float)[:, None] * 0.001, np.array([0, 2, 1]), k=3)
+    query = np.zeros((1, 1))
+    mean = z_oracle(learner, _query_batch(query, [0.0]))[0]
+    batch = _query_batch(query, [mean])
+    z = learner.z_for_batch(batch, learner._neighbors(batch))
+    assert z[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_neighbor_estimate_is_direct_difference() -> None:
-    index = _toy_index(values=(1.0,))
-    tr = Transition(obs=np.array([0.0]), action=0, reward=0.0,
-                    next_obs=np.array([0.0]), terminated=False, truncated=False, t=0)
-    z = agents.adversarial_estimate(tr, index, lambda latent, a: 1.0,
-                                    IdentityEncoder(1), k=1)
-    assert z == 1.0
+    learner = _ae_learner(np.array([[0.3]]), np.array([2]), k=1)
+    batch = _query_batch(np.array([[5.0]]), [0.25])
+    z = learner.z_for_batch(batch, learner._neighbors(batch))
+    assert z[0] == forward(learner.q_target, np.array([[0.3]])).final[0][2] - 0.25
 
 
 def test_estimate_matches_direct_neighbor_loop() -> None:
     rng = np.random.default_rng(8)
-    index = retrieval.LatentIndex(
-        latents=rng.standard_normal((60, 3)),
-        actions=rng.integers(0, 4, 60), rewards=np.zeros(60),
-        provenance=[(0, i) for i in range(60)], encoder_id="identity:3",
-        env_id="toy", action_count=4)
-    qnet = mlp(3, 4, (8,), spawn_rng(9, "q"))
-
-    def q_eval(latent, action):
-        return float(forward(qnet, latent[None, :]).final[0][action])
-
-    for seed in range(20):
-        obs = np.random.default_rng(seed).standard_normal(3)
-        reward = float(np.random.default_rng(seed + 999).standard_normal())
-        tr = Transition(obs=obs, action=0, reward=reward, next_obs=obs,
-                        terminated=False, truncated=False, t=0)
-        z = agents.adversarial_estimate(tr, index, q_eval, IdentityEncoder(3), k=8)
-        res = retrieval.knn(index, obs, 8)
-        direct = np.mean([q_eval(index.latents[i], int(index.actions[i]))
-                          for i in res.indices]) - reward
-        assert z == pytest.approx(direct, abs=1e-12)
+    learner = _ae_learner(rng.standard_normal((60, 3)), rng.integers(0, 4, 60), k=8, seed=9)
+    batch = _query_batch(rng.standard_normal((20, 3)), rng.standard_normal(20))
+    z = learner.z_for_batch(batch, learner._neighbors(batch))
+    assert np.allclose(z, z_oracle(learner, batch), rtol=0.0, atol=1e-12)
 
 
-# -- ae_apply ----------------------------------------------------------------------------
+# -- applying the estimate ------------------------------------------------------------------
 
 
 def _shaping_setup():
@@ -330,17 +331,16 @@ def _shaping_setup():
 def test_lambda_zero_shaping_is_bitwise_vanilla() -> None:
     batch, q_online, q_target = _shaping_setup()
     z = np.random.default_rng(13).standard_normal(len(batch))
-    app = agents.ae_apply(batch, z, 0.0, "target-shaping", q_online, q_target, 0.99)
+    shaped = agents.shaped_target(batch, z, 0.0, q_online, q_target, 0.99)
     vanilla = agents.clipped_target(batch, q_online, q_target, 0.99)
-    assert np.array_equal(app.targets, vanilla)
+    assert np.array_equal(shaped, vanilla)
 
 
 def test_zero_estimates_leave_targets_vanilla() -> None:
     batch, q_online, q_target = _shaping_setup()
-    app = agents.ae_apply(batch, np.zeros(len(batch)), 1.0, "target-shaping",
-                          q_online, q_target, 0.99)
+    shaped = agents.shaped_target(batch, np.zeros(len(batch)), 1.0, q_online, q_target, 0.99)
     vanilla = agents.clipped_target(batch, q_online, q_target, 0.99)
-    assert np.array_equal(app.targets, vanilla)
+    assert np.array_equal(shaped, vanilla)
 
 
 def test_shaped_target_direct_formula() -> None:
@@ -349,69 +349,62 @@ def test_shaped_target_direct_formula() -> None:
     batch = agents.ArrayBatch(
         latents=np.zeros((1, 2)), actions=np.array([0]), rewards=np.array([0.0]),
         next_latents=np.zeros((1, 2)), terminated=np.zeros(1), truncated=np.zeros(1))
-    app = agents.ae_apply(batch, np.array([0.4]), 1.0, "target-shaping",
-                          q_online, q_target, 0.99)
+    shaped = agents.shaped_target(batch, np.array([0.4]), 1.0, q_online, q_target, 0.99)
     # bootstrap: argmax under online -> action 0; min(0.5, 0.6) = 0.5
     expected = (0.0 - 1.0 * 0.4) + 0.99 * 0.5
-    assert app.targets[0] == expected
-    assert app.targets[0] == pytest.approx(0.095, abs=1e-12)
+    assert shaped[0] == expected
+    assert shaped[0] == pytest.approx(0.095, abs=1e-12)
 
 
 def test_q_regression_penalty_value_and_gradient() -> None:
     batch, q_online, q_target = _shaping_setup()
-    z = np.random.default_rng(14).standard_normal(len(batch))
+    estimates = np.random.default_rng(14).standard_normal(len(batch)) + batch.rewards
     q_vals = forward(q_online, batch.latents).final
-    app = agents.ae_apply(batch, z, 0.5, "q-regression", q_online, q_target,
-                          0.99, q_values=q_vals)
+    penalty, _ = agents.q_regression_penalty(q_vals, batch.actions, estimates, 0.5)
     rows = np.arange(len(batch))
-    estimates = z + batch.rewards
     expected = 0.5 * np.mean((q_vals[rows, batch.actions] - estimates) ** 2)
-    assert app.penalty_loss == pytest.approx(expected, abs=1e-12)
+    assert penalty == pytest.approx(expected, abs=1e-12)
 
     targets = agents.clipped_target(batch, q_online, q_target, 0.99)
 
     def proc(net):
         acts = forward(net, batch.latents)
         td_loss, td_rows = agents.td_loss_and_grad_rows(acts.final, batch.actions, targets)
-        a = agents.ae_apply(batch, z, 0.5, "q-regression", net, q_target, 0.99,
-                            q_values=acts.final)
-        grads, _ = nets.backward(net, acts, td_rows + a.penalty_grad_rows)
-        return td_loss + a.penalty_loss, grads
+        loss, grad_rows = agents.q_regression_penalty(acts.final, batch.actions, estimates, 0.5)
+        grads, _ = nets.backward(net, acts, td_rows + grad_rows)
+        return td_loss + loss, grads
 
     assert grad_check(q_online, proc, tolerance=1e-4).passed
 
 
 def test_kl_penalty_value_and_gradient() -> None:
     batch, q_online, q_target = _shaping_setup()
-    z = np.zeros(len(batch))
     rng = np.random.default_rng(15)
     search = rng.dirichlet(np.ones(3), size=len(batch))
     q_vals = forward(q_online, batch.latents).final
-    app = agents.ae_apply(batch, z, 0.7, "kl-penalty", q_online, q_target, 0.99,
-                          q_values=q_vals, search_probs=search)
+    penalty, _ = agents.kl_penalty(q_vals, search, 0.7)
     p = agents.softmax(q_vals)
     oracle = 0.7 * np.mean([scipy.stats.entropy(p[i], np.maximum(search[i], 1e-12))
                             for i in range(len(batch))])
-    assert app.penalty_loss == pytest.approx(oracle, rel=1e-9)
+    assert penalty == pytest.approx(oracle, rel=1e-9)
 
     targets = agents.clipped_target(batch, q_online, q_target, 0.99)
 
     def proc(net):
         acts = forward(net, batch.latents)
         td_loss, td_rows = agents.td_loss_and_grad_rows(acts.final, batch.actions, targets)
-        a = agents.ae_apply(batch, z, 0.7, "kl-penalty", net, q_target, 0.99,
-                            q_values=acts.final, search_probs=search)
-        grads, _ = nets.backward(net, acts, td_rows + a.penalty_grad_rows)
-        return td_loss + a.penalty_loss, grads
+        loss, grad_rows = agents.kl_penalty(acts.final, search, 0.7)
+        grads, _ = nets.backward(net, acts, td_rows + grad_rows)
+        return td_loss + loss, grads
 
     assert grad_check(q_online, proc, tolerance=1e-4).passed
 
 
 def test_unknown_mode_rejected() -> None:
-    batch, q_online, q_target = _shaping_setup()
-    with pytest.raises(ValueError):
-        agents.ae_apply(batch, np.zeros(len(batch)), 1.0, "bogus",
-                        q_online, q_target, 0.99)
+    # the mode is checked once, when the hyperparameters are built
+    for mode in ("bogus", "", "Target-Shaping", "kl_penalty"):
+        with pytest.raises(ValueError, match="ae_mode"):
+            agents.Hyperparams(ae_mode=mode)
 
 
 def test_fixed_point_preserves_the_vanilla_td_value_in_every_mode() -> None:
@@ -424,20 +417,16 @@ def test_fixed_point_preserves_the_vanilla_td_value_in_every_mode() -> None:
     vanilla_td, _ = agents.td_loss_and_grad_rows(q_vals, batch.actions,
                                                  vanilla_targets)
 
-    shaped = agents.ae_apply(batch, z, 1.0, "target-shaping",
-                             q_online, q_target, 0.99)
-    shaped_td, _ = agents.td_loss_and_grad_rows(q_vals, batch.actions,
-                                                shaped.targets)
+    shaped = agents.shaped_target(batch, z, 1.0, q_online, q_target, 0.99)
+    shaped_td, _ = agents.td_loss_and_grad_rows(q_vals, batch.actions, shaped)
     assert shaped_td == vanilla_td  # bitwise: shaping collapses entirely
 
-    for mode, extra in (("q-regression", {}),
-                        ("kl-penalty", {"search_probs": np.full((len(batch), 3), 1 / 3)})):
-        app = agents.ae_apply(batch, z, 1.0, mode, q_online, q_target, 0.99,
-                              q_values=q_vals, **extra)
-        # the penalty is additive; the vanilla TD term itself is untouched
+    # the penalties are additive; the vanilla TD term itself is untouched
+    for penalty, _ in (agents.q_regression_penalty(q_vals, batch.actions, z + batch.rewards, 1.0),
+                       agents.kl_penalty(q_vals, np.full((len(batch), 3), 1 / 3), 1.0)):
         td, _ = agents.td_loss_and_grad_rows(q_vals, batch.actions, vanilla_targets)
         assert td == vanilla_td
-        assert np.isfinite(app.penalty_loss)
+        assert np.isfinite(penalty)
 
 
 # -- distillation -------------------------------------------------------------------------
@@ -667,20 +656,11 @@ def test_bc_gradient_matches_finite_differences() -> None:
 def test_ae_learner_cached_estimates_match_contract_path(room_store) -> None:
     encoder = IdentityEncoder(room_store.obs_dim)
     index = retrieval.build_index(room_store, encoder)
-    hp = agents.defaults_for("cdql-ae")
-    learner = agents.AdversarialKickstartLearner(room_store.obs_dim, 4, hp, 0, index)
-    transitions = list(room_store.transitions())[:16]
-    batch = agents.ArrayBatch.from_transitions(transitions, encoder)
-    neighbor_idx = learner._neighbors(batch)
-    z_fast = learner.z_for_batch(batch, neighbor_idx)
-
-    def q_eval(latent, action):
-        return float(forward(learner.q_target, latent[None, :]).final[0][action])
-
-    for i, tr in enumerate(transitions):
-        z_slow = agents.adversarial_estimate(tr, index, q_eval, encoder,
-                                             hp.k_neighbors)
-        assert z_fast[i] == pytest.approx(z_slow, abs=1e-12)
+    learner = agents.AdversarialKickstartLearner(room_store.obs_dim, 4,
+                                                 agents.defaults_for("cdql-ae"), 0, index)
+    batch = agents.ArrayBatch.from_transitions(list(room_store.transitions())[:16], encoder)
+    z = learner.z_for_batch(batch, learner._neighbors(batch))
+    assert np.allclose(z, z_oracle(learner, batch), rtol=0.0, atol=1e-12)
 
 
 def test_ae_learner_lambda_zero_steps_are_bitwise_vanilla(room_store) -> None:

@@ -201,7 +201,6 @@ def test_eval_cadence_below_one_exits_with_a_config_error(tmp_path, capsys, cade
 
 
 @pytest.mark.parametrize("override, key", [
-    ("knn_metric = l1", "knn_metric"),
     ("her_extra = -5", "her_extra"),
     ("learning_rate = -1e-3", "learning_rate"),
     ("learning_rate = 0.0", "learning_rate"),
@@ -379,12 +378,72 @@ def test_malformed_seed_lists_exit_with_a_config_error(tmp_path, capsys, seeds) 
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("checkpoints", ["1,,2", "1,x", "3,", ""])
+@pytest.mark.parametrize("checkpoints", ["1,,2", "1,x", "3,", "", "-5", "0,-1"])
 def test_malformed_checkpoint_lists_exit_with_a_config_error(tmp_path, capsys,
                                                             checkpoints) -> None:
-    assert cli.main(["report", "--runs", str(tmp_path), "--checkpoints", checkpoints]) == 1
+    """tmp_path holds no run, so reading runs before the check would fail
+    with a message that does not name the flag."""
+    assert cli.main(["report", "--runs", str(tmp_path), f"--checkpoints={checkpoints}"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "--checkpoints" in err
+
+
+SUMMARY = {"env_id": "room-nav-8x8", "agent": "cdql", "seed": 1,
+           "rows": [{"step": 0, "mean_return": 0.0}, {"step": 500, "mean_return": 1}]}
+_MISSING = object()
+
+
+def _summary_with(field: str, value, row: int | None = None) -> str:
+    payload = json.loads(json.dumps(SUMMARY))
+    record = payload if row is None else payload["rows"][row]
+    if value is _MISSING:
+        del record[field]
+    else:
+        record[field] = value
+    return json.dumps(payload)
+
+
+BAD_SUMMARIES = {
+    "not-json": ("{\"env_id\": ", "not JSON"),
+    "not-an-object": ("[1, 2]", "not a JSON object"),
+    "no-env_id": (_summary_with("env_id", _MISSING), "env_id is None"),
+    "int-agent": (_summary_with("agent", 3), "agent is 3"),
+    "float-seed": (_summary_with("seed", 1.0), "seed is 1.0"),
+    "no-rows": (_summary_with("rows", _MISSING), "rows is None"),
+    "empty-rows": (_summary_with("rows", []), "rows is empty"),
+    "row-not-an-object": (_summary_with("rows", [5]), "rows[0].step is None"),
+    "bool-step": (_summary_with("step", True, row=1), "rows[1].step is True"),
+    "unordered-steps": (_summary_with("step", 0, row=1),
+                        "rows[1].step is 0, not above rows[0].step 0"),
+    "null-mean_return": (_summary_with("mean_return", None, row=1), "rows[1].mean_return is None"),
+    "nan-mean_return": (_summary_with("mean_return", float("nan"), row=0),
+                        "rows[0].mean_return is nan"),
+    "text-mean_return": (_summary_with("mean_return", "0.5", row=0),
+                         "rows[0].mean_return is '0.5'"),
+}
+
+
+def test_a_well_formed_run_summary_loads(tmp_path) -> None:
+    from kickrl import harness
+
+    (tmp_path / "summary.json").write_text(json.dumps(SUMMARY), encoding="utf-8")
+    summary = harness.load_run(str(tmp_path))
+    assert (summary.env_id, summary.agent, summary.seed) == ("room-nav-8x8", "cdql", 1)
+    assert (summary.steps, summary.mean_returns) == ([0, 500], [0.0, 1])
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+@pytest.mark.parametrize("text, message", BAD_SUMMARIES.values(), ids=BAD_SUMMARIES)
+def test_a_malformed_run_summary_exits_with_a_format_error(tmp_path, capsys, command, text,
+                                                          message) -> None:
+    (tmp_path / "summary.json").write_text(text, encoding="utf-8")
+    argv = {"report": ["report", "--runs", str(tmp_path), "--checkpoints", "500"],
+            "compare": ["compare", "--baseline", str(tmp_path), "--treatment", str(tmp_path),
+                        "--threshold", "0.5"]}[command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"format error: {tmp_path / 'summary.json'}: {message}")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])

@@ -6,7 +6,7 @@ A refactor of the training loop, the learners or the parameter file format
 must leave these hashes unchanged; `test_run_is_bitwise_reproducible` only
 shows a run agrees with itself.  The hashes assume single-thread
 numpy/OpenBLAS (the package pins it at import) on x86-64; another BLAS build
-may round the gemms differently.
+may round the gemms differently, which the first test here reports by name.
 
 Each pinned `metrics.csv` is also kept as a file under `tests/golden/`, so a
 run that moves a hash is reported by its first differing row and column, and
@@ -19,9 +19,12 @@ import hashlib
 import os
 from itertools import zip_longest
 
+import numpy as np
 import pytest
 
 from kickrl import agents, demos, encoders, harness
+from kickrl.nets import forward_values, mlp
+from kickrl.seeding import spawn_rng
 
 STEPS = 600
 
@@ -63,6 +66,10 @@ FOUR_ROOMS_VAE_SNAPSHOT = {
 
 # the encoder file four_rooms_inputs saves
 VAE_FILE = "fa3bcc98f77fdb12eae59ecfd6eac6d40b20767279130e3ad930aa60af61e067"
+
+# The smallest row count of the third row-count class of forward_values on a
+# 128->256->256->4 net (see test_forward_row_count_classes_are_the_recorded_ones).
+ROW_CLASS_BOUNDARY = 977
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -125,6 +132,39 @@ def run_files(tmp_path, kind: str, env_name: str, demo_path: str | None,
             os.path.join(cfg.out_dir, "params.snapshot.jsonl"))
 
 
+def test_forward_row_count_classes_are_the_recorded_ones() -> None:
+    """How this BLAS build rounds forward_values depends on the batch's row
+    count, in three classes: 1 row (a gemv); 2 rows up to ROW_CLASS_BOUNDARY,
+    where each row's bits equal its bits in any other forward of that class;
+    and ROW_CLASS_BOUNDARY rows and more, likewise.  The hashes below and
+    RowMemo rest on these classes, so this test runs first and names a moved
+    class before the hash tests fail."""
+    net = mlp(128, 4, (256, 256), spawn_rng(0, "row-classes"))
+    x = np.random.default_rng(0).standard_normal((2400, 128))
+
+    def rows(n: int) -> np.ndarray:
+        return forward_values(net, x[:n])
+
+    def second_class(n: int) -> bool:  # its first 32 rows round as a 32-row forward does
+        return np.array_equal(rows(n)[:32], rows(32))
+
+    lo, hi = 32, len(x)  # bisect for the first row count out of the second class
+    assert second_class(lo) and not second_class(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if second_class(mid) else (lo, mid)
+    moved = [] if hi == ROW_CLASS_BOUNDARY else [
+        f"the third class starts at {hi} rows, not {ROW_CLASS_BOUNDARY}"]
+    if np.array_equal(rows(1), rows(2)[:1]):
+        moved.append("1 row rounds as 2 rows do")
+    for last, counts in ((hi - 1, (2, 3, 33, 101, hi - 2)), (len(x), (hi, hi + 1, 1557, 2338))):
+        whole = rows(last)
+        moved += [f"{n} rows round unlike {last} rows" for n in counts
+                  if not np.array_equal(rows(n), whole[:n])]
+    assert not moved, ("forward_values row-count classes moved on this BLAS build: "
+                       + "; ".join(moved) + ". The golden hashes assume the recorded ones.")
+
+
 @pytest.fixture(scope="module")
 def four_rooms_inputs(four_rooms_spec, four_rooms_store, tmp_path_factory):
     """The shared 40-trajectory four-rooms store and a 16-dim, 3-epoch VAE."""
@@ -141,7 +181,7 @@ def four_rooms_inputs(four_rooms_spec, four_rooms_store, tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(ROOM_NAV))
 def test_room_nav_metrics_match_golden_hash(case, tmp_path, room_store_path) -> None:
     kind, _, ae_mode = case.partition(":")
-    needs_demos = kind in agents.KINDS_NEEDING_DEMOS
+    needs_demos = agents.LEARNERS[kind].needs_demos
     paths = run_files(tmp_path, kind, "room-nav", room_store_path if needs_demos else None,
                       ae_mode=ae_mode or None)
     check_run(*paths, "room-nav", case, ROOM_NAV[case], ROOM_NAV_SNAPSHOT[case])

@@ -240,7 +240,7 @@ def test_run_seeds_parallel_matches_sequential(tmp_path, room_store_path) -> Non
 
 @pytest.mark.parametrize("kind", agents.AGENT_KINDS)
 def test_snapshot_round_trip_preserves_greedy_policy(kind, tmp_path, room_store_path) -> None:
-    demo_path = room_store_path if kind in agents.KINDS_NEEDING_DEMOS else None
+    demo_path = room_store_path if agents.LEARNERS[kind].needs_demos else None
     cfg = tiny_cfg(tmp_path, kind, total=800, demo_path=demo_path)
     rec = harness.train_run(cfg)
     action_fn, meta = harness.load_policy_snapshot(rec.snapshot_path)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from kickrl import retrieval
 from kickrl.encoders import IdentityEncoder, StandardizeEncoder, fit_standardizer
 from kickrl.errors import ShapeError
-from kickrl.nets import forward, mlp
-from kickrl.seeding import spawn_rng
 
 
 def random_index(seed: int, n: int = 200, dim: int = 8, actions: int = 4) -> retrieval.LatentIndex:
@@ -23,6 +21,12 @@ def random_index(seed: int, n: int = 200, dim: int = 8, actions: int = 4) -> ret
         env_id="test-env",
         action_count=actions,
     )
+
+
+def knn_one(index: retrieval.LatentIndex, query: np.ndarray, k: int):
+    """(indices, distances) of one query: row 0 of knn_batch."""
+    indices, distances = retrieval.knn_batch(index, np.asarray(query)[None, :], k)
+    return indices[0], distances[0]
 
 
 def brute_force(latents: np.ndarray, query: np.ndarray, k: int):
@@ -76,16 +80,16 @@ def test_knn_hand_geometry() -> None:
         np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]),
         np.array([0, 1, 2]), np.zeros(3), [(0, i) for i in range(3)],
         "e", "env", 3)
-    res = retrieval.knn(index, np.array([0.9, 0.0]), 2)
-    assert list(res.indices) == [1, 0]
-    assert res.distances[0] == pytest.approx(0.01)
+    idx, dist = knn_one(index, np.array([0.9, 0.0]), 2)
+    assert list(idx) == [1, 0]
+    assert dist[0] == pytest.approx(0.01)
 
 
 def test_knn_exact_match_returns_distance_zero() -> None:
     index = random_index(0)
-    res = retrieval.knn(index, index.latents[17], 1)
-    assert res.indices[0] == 17
-    assert res.distances[0] == 0.0
+    idx, dist = knn_one(index, index.latents[17], 1)
+    assert idx[0] == 17
+    assert dist[0] == 0.0
 
 
 @pytest.mark.parametrize("k", [1, 4, 8, 32])
@@ -93,35 +97,35 @@ def test_knn_equals_brute_force_sort(k: int) -> None:
     for seed in range(10):
         index = random_index(seed, n=500, dim=6)
         query = np.random.default_rng(1000 + seed).standard_normal(6)
-        res = retrieval.knn(index, query, k)
+        idx, dist = knn_one(index, query, k)
         exp_idx, exp_d = brute_force(index.latents, query, k)
-        assert list(res.indices) == exp_idx
-        assert np.array_equal(res.distances, exp_d)
+        assert list(idx) == exp_idx
+        assert np.array_equal(dist, exp_d)
 
 
 def test_knn_ties_break_toward_lowest_row_index() -> None:
     latents = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # rows 0 and 2 tie
     index = retrieval.LatentIndex(latents, np.array([0, 1, 2]), np.zeros(3),
                                   [(0, i) for i in range(3)], "e", "env", 3)
-    res = retrieval.knn(index, np.array([1.0, 0.0]), 3)
-    assert list(res.indices) == [0, 2, 1]
+    idx, _ = knn_one(index, np.array([1.0, 0.0]), 3)
+    assert list(idx) == [0, 2, 1]
 
 
 def test_knn_clamps_k_to_index_size() -> None:
     index = random_index(3, n=5)
-    res = retrieval.knn(index, np.zeros(8), 32)
-    assert len(res.indices) == 5
+    idx, _ = knn_one(index, np.zeros(8), 32)
+    assert len(idx) == 5
 
 
 def test_knn_distances_non_decreasing_and_dominate_excluded() -> None:
     for seed in range(5):
         index = random_index(seed, n=100, dim=4)
         query = np.random.default_rng(seed).standard_normal(4)
-        res = retrieval.knn(index, query, 10)
-        assert all(b >= a for a, b in zip(res.distances, res.distances[1:]))
+        idx, dist = knn_one(index, query, 10)
+        assert all(b >= a for a, b in zip(dist, dist[1:]))
         d2 = np.sum((index.latents - query) ** 2, axis=1)
-        excluded = np.delete(d2, res.indices)
-        assert res.distances[-1] <= excluded.min()
+        excluded = np.delete(d2, idx)
+        assert dist[-1] <= excluded.min()
 
 
 def test_knn_empty_index_is_an_error(room_store) -> None:
@@ -131,18 +135,13 @@ def test_knn_empty_index_is_an_error(room_store) -> None:
                                       action_count=2, trajectories=[])
     index = retrieval.build_index(empty_store, IdentityEncoder(4))
     with pytest.raises(RuntimeError, match="empty"):
-        retrieval.knn(index, np.zeros(4), 1)
+        knn_one(index, np.zeros(4), 1)
 
 
 def test_knn_batch_matches_single_queries_on_grid_latents(room_store) -> None:
-    # grid observations are 0/1 vectors: both distance forms are exact integers
+    # grid observations are 0/1 vectors: every distance is an exact integer
     index = retrieval.build_index(room_store, IdentityEncoder(room_store.obs_dim))
-    queries = index.latents[::7][:20]
-    bi, bd = retrieval.knn_batch(index, queries, 8)
-    for row, query in enumerate(queries):
-        single = retrieval.knn(index, query, 8)
-        assert list(single.indices) == list(bi[row])
-        assert np.array_equal(single.distances, bd[row])
+    assert_batch_equals_brute_force(index, index.latents[::7][:20], 8)
 
 
 # -- knn_batch on float latents -----------------------------------------------------------
@@ -195,20 +194,16 @@ def test_knn_batch_equals_brute_force_on_duplicated_float_rows(k: int) -> None:
 def test_knn_batch_row_equals_the_query_alone_bitwise(four_rooms_store, four_rooms_vae) -> None:
     index = retrieval.build_index(four_rooms_store, four_rooms_vae)
     queries = np.random.default_rng(3).permutation(store_queries(index, 3))
-    for metric in retrieval.METRICS:
-        bi, bd = retrieval.knn_batch(index, queries, 8, metric)
-        for i in range(len(queries)):
-            si, sd = retrieval.knn_batch(index, queries[i:i + 1], 8, metric)
-            assert np.array_equal(bi[i], si[0])
-            assert np.array_equal(bd[i], sd[0])
+    bi, bd = retrieval.knn_batch(index, queries, 8)
+    for i in range(len(queries)):
+        si, sd = retrieval.knn_batch(index, queries[i:i + 1], 8)
+        assert np.array_equal(bi[i], si[0])
+        assert np.array_equal(bd[i], sd[0])
 
 
-def _direct_distance(metric: str, u: np.ndarray, q: np.ndarray) -> float:
-    """One row's distance in the direct form, as knn_batch computes it."""
-    if metric == "l2":
-        return float(np.square(u - q).sum())
-    norms = float(np.sqrt(np.square(q).sum())) * float(np.sqrt(np.square(u).sum()))
-    return 1.0 - float((u * q).sum()) / max(norms, 1e-300)
+def _direct_distance(u: np.ndarray, q: np.ndarray) -> float:
+    """One row's squared distance in the direct form, as knn_batch computes it."""
+    return float(np.square(u - q).sum())
 
 
 _coords = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]) | st.floats(-4.0, 4.0)
@@ -232,94 +227,23 @@ def _small_indexes(draw) -> tuple[list, list]:
 @example(case=([[0.0], [-0.0], [0.0], [-0.0], [-0.0]], [[0.0], [-0.0], [1.0], [-2.0]]))
 @given(case=_small_indexes())
 def test_knn_batch_is_a_sort_by_distance_then_row(case) -> None:
-    """For every metric and every k, knn_batch is the first k of a plain
-    sorted((distance, row)), in indices and distance bits, and row i of a
-    batch is the result of querying queries[i] alone."""
+    """For every k, knn_batch is the first k of a plain sorted((distance,
+    row)), in indices and distance bits, and row i of a batch is the result of
+    querying queries[i] alone."""
     latents, queries = np.array(case[0]), np.array(case[1])
     n = len(latents)
     index = retrieval.LatentIndex(latents, np.zeros(n, dtype=int), np.zeros(n),
                                   [(0, i) for i in range(n)], "e", "env", 1)
-    for metric in retrieval.METRICS:
-        expected = [sorted((_direct_distance(metric, u, q), row) for row, u in enumerate(latents))
-                    for q in queries]
-        for k in range(1, n + 1):
-            got_idx, got_d = retrieval.knn_batch(index, queries, k, metric)
-            for i, query in enumerate(queries):
-                assert got_idx[i].tolist() == [row for _, row in expected[i][:k]]
-                assert got_d[i].tobytes() == np.array([d for d, _ in expected[i][:k]]).tobytes()
-                alone_idx, alone_d = retrieval.knn_batch(index, query[None, :], k, metric)
-                assert np.array_equal(alone_idx[0], got_idx[i])
-                assert alone_d[0].tobytes() == got_d[i].tobytes()
-
-
-def test_cosine_duplicate_rows_share_a_distance_and_tie_by_row() -> None:
-    rng = np.random.default_rng(4)
-    distinct = rng.standard_normal((6, 3))
-    which = rng.integers(0, 6, 60)
-    index = retrieval.LatentIndex(distinct[which], np.zeros(60, dtype=int), np.zeros(60),
-                                  [(0, i) for i in range(60)], "e", "env", 1)
-    for query in np.concatenate([distinct, rng.standard_normal((5, 3))]):
-        cos = 1.0 - distinct @ query / (np.linalg.norm(distinct, axis=1) * np.linalg.norm(query))
-        res = retrieval.knn(index, query, 60, metric="cosine")
-        assert list(res.indices) == sorted(range(60), key=lambda i: (cos[which[i]], i))
-        assert np.allclose(res.distances, cos[which[res.indices]], atol=1e-12)
-        for latent in range(6):  # every copy of a latent gets the same distance
-            assert len(set(res.distances[which[res.indices] == latent])) <= 1
-
-
-def test_cosine_metric_orders_by_angle() -> None:
-    latents = np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 0.1]])
-    index = retrieval.LatentIndex(latents, np.array([0, 1, 2]), np.zeros(3),
-                                  [(0, i) for i in range(3)], "e", "env", 3)
-    res = retrieval.knn(index, np.array([2.0, 0.0]), 3, metric="cosine")
-    assert list(res.indices) == [0, 2, 1]  # exact direction first, orthogonal last
-
-
-# -- expert estimate -------------------------------------------------------------------
-
-
-def test_expert_estimate_is_the_neighbor_mean() -> None:
-    index = random_index(5)
-    values = {(i, int(index.actions[i])): float(i) for i in range(len(index))}
-    res = retrieval.QueryResult(indices=np.array([3, 11, 40]),
-                                distances=np.zeros(3))
-    est = retrieval.expert_estimate(index, res,
-                                    lambda latent, a: values[_row_of(index, latent), a])
-    assert est == pytest.approx((3 + 11 + 40) / 3)
-
-
-def _row_of(index: retrieval.LatentIndex, latent: np.ndarray) -> int:
-    return int(np.flatnonzero((index.latents == latent).all(axis=1))[0])
-
-
-def test_expert_estimate_matches_direct_loop_with_a_network() -> None:
-    index = random_index(6, dim=4)
-    qnet = mlp(4, 4, (8,), spawn_rng(0, "q"))
-
-    def q_eval(latent, action):
-        return float(forward(qnet, latent[None, :]).final[0][action])
-
-    for seed in range(10):
-        query = np.random.default_rng(seed).standard_normal(4)
-        res = retrieval.knn(index, query, 8)
-        est = retrieval.expert_estimate(index, res, q_eval)
-        direct = np.mean([q_eval(index.latents[i], int(index.actions[i]))
-                          for i in res.indices])
-        assert est == pytest.approx(direct, abs=1e-12)
-
-
-def test_expert_estimate_invariant_under_neighbor_permutation() -> None:
-    index = random_index(7, dim=4)
-    qnet = mlp(4, 4, (8,), spawn_rng(1, "q"))
-
-    def q_eval(latent, action):
-        return float(forward(qnet, latent[None, :]).final[0][action])
-
-    res = retrieval.knn(index, np.zeros(4), 6)
-    shuffled = retrieval.QueryResult(indices=res.indices[::-1],
-                                     distances=res.distances[::-1])
-    assert retrieval.expert_estimate(index, res, q_eval) == pytest.approx(
-        retrieval.expert_estimate(index, shuffled, q_eval), abs=1e-12)
+    expected = [sorted((_direct_distance(u, q), row) for row, u in enumerate(latents))
+                for q in queries]
+    for k in range(1, n + 1):
+        got_idx, got_d = retrieval.knn_batch(index, queries, k)
+        for i, query in enumerate(queries):
+            assert got_idx[i].tolist() == [row for _, row in expected[i][:k]]
+            assert got_d[i].tobytes() == np.array([d for d, _ in expected[i][:k]]).tobytes()
+            alone_idx, alone_d = retrieval.knn_batch(index, query[None, :], k)
+            assert np.array_equal(alone_idx[0], got_idx[i])
+            assert alone_d[0].tobytes() == got_d[i].tobytes()
 
 
 # -- posterior update --------------------------------------------------------------------
@@ -376,8 +300,8 @@ def test_search_policy_counts_neighbor_actions() -> None:
     index = retrieval.LatentIndex(latents, np.array([2, 2, 3, 2, 0]),
                                   np.zeros(5), [(0, i) for i in range(5)],
                                   "e", "env", 4)
-    result = retrieval.knn(index, np.array([0.0]), 4)
-    counts = retrieval.neighbor_action_counts(index, result.indices[None, :])
+    idx, _ = knn_one(index, np.array([0.0]), 4)
+    counts = retrieval.neighbor_action_counts(index, idx[None, :])
     assert counts.tolist() == [[0, 0, 3, 1]]
     assert (counts / 4).tolist() == [[0.0, 0.0, 0.75, 0.25]]
 
@@ -386,8 +310,8 @@ def test_search_policy_unanimous_neighbors_are_one_hot() -> None:
     index = retrieval.LatentIndex(np.zeros((6, 2)), np.full(6, 1),
                                   np.zeros(6), [(0, i) for i in range(6)],
                                   "e", "env", 3)
-    result = retrieval.knn(index, np.zeros(2), 4)
-    counts = retrieval.neighbor_action_counts(index, result.indices[None, :])
+    idx, _ = knn_one(index, np.zeros(2), 4)
+    counts = retrieval.neighbor_action_counts(index, idx[None, :])
     assert (counts / 4).tolist() == [[0.0, 1.0, 0.0]]
 
 
@@ -404,6 +328,6 @@ def test_search_policy_sums_to_one_for_random_queries() -> None:
 
 def test_search_policy_with_k_equal_n_is_the_store_marginal() -> None:
     index = random_index(9, n=50)
-    result = retrieval.knn(index, np.zeros(8), 50)
-    counts = retrieval.neighbor_action_counts(index, result.indices[None, :])
+    idx, _ = knn_one(index, np.zeros(8), 50)
+    counts = retrieval.neighbor_action_counts(index, idx[None, :])
     assert counts[0].tolist() == np.bincount(index.actions, minlength=4).tolist()
