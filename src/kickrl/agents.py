@@ -23,7 +23,8 @@ import numpy as np
 
 from .demos import Transition
 from .nets import (Activations, AdamState, DenseNet, RowMemo, RowTable, adam_step, backward,
-                   forward, forward_values, mlp, net_to_arrays, soft_update)
+                   forward, forward_values, forward_values_gathered, mlp, net_to_arrays,
+                   soft_update)
 from .retrieval import LatentIndex, knn_batch, neighbor_action_counts
 from .seeding import spawn_rng
 
@@ -527,9 +528,11 @@ class AdversarialKickstartLearner(QLearner):
         self._refresh_demo_cache()
 
     def _refresh_demo_cache(self) -> None:
-        # Every index row, not only the distinct latents: a forward over fewer
-        # rows rounds differently (the 256->4 gemm changes kernel above ~900 rows).
-        values = forward_values(self.q_target, self.index.latents)
+        # The hidden layers run once per distinct latent (63 of 1,557 rows on
+        # room-nav) and the output layer over every row, whose count its
+        # rounding depends on: forward_values over every row, bit for bit.
+        values = forward_values_gathered(self.q_target, self.index._distinct,
+                                         self.index._row_distinct)
         self._demo_q = values[np.arange(len(self.index)), self.index.actions]
 
     def update_targets(self) -> None:

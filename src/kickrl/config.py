@@ -102,6 +102,8 @@ def config_from_text(text: str) -> RunConfig:
 
     hp = defaults_for(agent)
     total_steps = runvals["total_steps"]
+    if total_steps >= 2**63:  # 10**400 overflowed the float that scales the budgets
+        raise ConfigError(f"[run]: total_steps must be below 2**63, got {total_steps}")
     hp = scale_step_budgets(hp, total_steps)
     hp_fields = {f.name: f.type for f in dataclasses.fields(Hyperparams)}
     for key, value in sections.get("hyperparams", {}).items():

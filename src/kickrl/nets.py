@@ -186,6 +186,32 @@ def forward_values(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     return h
 
 
+def forward_values_gathered(net: DenseNet, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``forward_values(net, rows[ids])``, bitwise, running the hidden layers
+    once per row of ``rows``: their outputs are gathered by ``ids`` into one
+    (len(ids), width) array, and the output layer runs on that.
+
+    The premise is the BLAS build's: a hidden layer's gemm rounds each row the
+    same at every row count from 2 up, so a row's hidden outputs at len(rows)
+    rows equal its outputs at len(ids) rows.  A 1-row forward is a gemv and
+    rounds otherwise, so a lone id runs as a 1-row forward and a lone row of
+    several ids as 2 rows.  The output layer keeps the len(ids)-row call,
+    because its rounding can change with the row count (a 256->4 gemm changes
+    kernel at 977 rows on the recorded build).  On that build the premise holds
+    for hidden widths that are multiples of 8, such as the default 256
+    (``tests/test_golden.py`` gates it); a net of other widths gets the same
+    values up to rounding."""
+    h = _net_input(net, rows)
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) == 1:
+        h, ids = h[ids], np.zeros(1, dtype=np.int64)
+    elif len(h) == 1:
+        h = np.repeat(h, 2, axis=0)
+    for layer in net.layers[:-1]:
+        h = _layer_output(layer, h)
+    return _layer_output(net.layers[-1], h[ids])
+
+
 class RowMemo:
     """The output rows of a function that does not change while the memo
     lives, keyed by the bytes of each input row.
@@ -194,10 +220,12 @@ class RowMemo:
     whole batch goes to ``fn``, exactly the call an unmemoised caller makes,
     and every new row is recorded.  Entries are kept per batch row count: a
     dense forward's rounding depends on the batch's row count (a 1-row forward
-    is a gemv, and OpenBLAS picks another gemm kernel for a 256->4 layer above
-    about 900 rows), but not on the batch's other rows.  ``clear`` must be
-    called whenever ``fn`` changes.  There is no size cap: callers feed grid
-    worlds, whose inputs repeat.
+    is a gemv, and OpenBLAS picks another gemm kernel for a 256->4 layer from
+    977 rows on), but not on the batch's other rows.  On the package's nets
+    only the output layer's rounding moves between counts above 1, which
+    forward_values_gathered relies on; the memo keys by the whole count, which
+    is safe on any build.  ``clear`` must be called whenever ``fn`` changes.
+    There is no size cap: callers feed grid worlds, whose inputs repeat.
     """
 
     def __init__(self, fn):

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from kickrl import agents, nets, retrieval
+from kickrl import agents, demos, envs, nets, retrieval
 from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder
 from kickrl.harness import ReplayBuffer
-from kickrl.nets import forward, grad_check, mlp
+from kickrl.nets import forward, forward_values, grad_check, mlp
 from kickrl.seeding import spawn_rng
 
 
@@ -661,6 +662,44 @@ def test_ae_learner_cached_estimates_match_contract_path(room_store) -> None:
     batch = agents.ArrayBatch.from_transitions(list(room_store.transitions())[:16], encoder)
     z = learner.z_for_batch(batch, learner._neighbors(batch))
     assert np.allclose(z, z_oracle(learner, batch), rtol=0.0, atol=1e-12)
+
+
+def _demo_index(case: str, four_rooms_vae) -> retrieval.LatentIndex:
+    """The benchmark's stores (room-nav: 63 distinct latents in 1,557 rows;
+    four-rooms: 2,338 rows), or one latent repeated over 40 rows."""
+    if case == "one-latent":
+        latents = np.repeat(np.random.default_rng(95).standard_normal((1, 16)), 40, axis=0)
+        return retrieval.LatentIndex(latents=latents, actions=np.arange(40) % 4,
+                                     rewards=np.zeros(40), provenance=[(0, t) for t in range(40)],
+                                     encoder_id="test", env_id="toy", action_count=4)
+    spec = envs.make_room_nav() if case == "room-identity" else envs.make_four_rooms()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", demos.DemoBudgetWarning)
+        store = demos.generate_demos(spec, 0.1, 200, 11)
+    encoder = IdentityEncoder(spec.obs_dim) if case == "room-identity" else four_rooms_vae
+    return retrieval.build_index(store, encoder)
+
+
+@pytest.mark.parametrize("case", ["room-identity", "four-rooms-vae", "one-latent"])
+def test_demo_q_table_is_a_forward_over_every_index_row(case, four_rooms_vae) -> None:
+    """The refresh runs the hidden layers once per distinct latent; the table
+    equals the target net's values over every row at the stored actions, bit
+    for bit, after set-up and after each target update."""
+    index = _demo_index(case, four_rooms_vae)
+    hp = agents.defaults_for("cdql-ae")
+    hp.learning_rate = 1e-2
+    learner = agents.AdversarialKickstartLearner(index.dim, 4, hp, 3, index)
+    batch = _query_batch(index.latents[:32], np.ones(min(32, len(index))))
+    previous = None
+    for update in range(3):
+        if update:
+            learner.train_batch(batch)
+            learner.update_targets()
+            assert not np.array_equal(learner._demo_q, previous)
+        values = forward_values(learner.q_target, index.latents)
+        assert np.array_equal(learner._demo_q, values[np.arange(len(index)), index.actions]), (
+            case, update)
+        previous = learner._demo_q
 
 
 def test_ae_learner_lambda_zero_steps_are_bitwise_vanilla(room_store) -> None:

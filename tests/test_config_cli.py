@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kickrl import cli, demos, envs
+from kickrl import agents, cli, demos, envs, harness
 from kickrl.config import config_from_text, load_config
 from kickrl.errors import ConfigError
 
@@ -111,6 +114,123 @@ def test_missing_file_is_a_config_error(tmp_path) -> None:
 def test_invalid_override_value_reports_the_key() -> None:
     with pytest.raises(ConfigError, match="gamma"):
         config_from_text(GOOD + "gamma = fast\n")
+
+
+# -- config properties --------------------------------------------------------------
+
+
+def config_text(cfg: harness.RunConfig) -> str:
+    """A config file that names every field of ``cfg``: a float as its str,
+    which is its repr and reads back to the same bits, and ``lam`` by its
+    ``lambda`` alias."""
+    run = {"agent": cfg.agent, "env": cfg.env_name, "total_steps": cfg.total_steps,
+           "seed": cfg.seed, "out_dir": cfg.out_dir, "encoder": cfg.encoder_spec,
+           "demos": cfg.demo_path, "eval_cadence": cfg.eval_cadence,
+           "eval_episodes": cfg.eval_episodes}
+    lines = ["[run]", *(f"{k} = {v}" for k, v in run.items() if v is not None), "[env]",
+             *(f"{k} = {v}" for k, v in cfg.env_options.items()), "[hyperparams]"]
+    for f in dataclasses.fields(cfg.hp):
+        value = getattr(cfg.hp, f.name)
+        text = ",".join(map(str, value)) if f.name == "hidden" else str(value)
+        lines.append(f"{'lambda' if f.name == 'lam' else f.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 2.0**60]
+WORDS = st.text("abcxyz0189/._-", min_size=1, max_size=12)
+
+
+def _floats(lo: float, hi: float, hi_open: bool = False):
+    edges = [x for x in EDGE_FLOATS if lo <= x < hi or (x == hi and not hi_open)]
+    return st.one_of(st.sampled_from(edges),
+                     st.floats(lo, hi, exclude_max=hi_open, allow_nan=False))
+
+
+@st.composite
+def run_configs(draw) -> harness.RunConfig:
+    """Well-formed configs: every hyperparameter in its range, with the
+    edge values a float or int field must read back exactly."""
+    ints = st.one_of(st.sampled_from([1, 2, 2**60]), st.integers(1, 10**6))
+    hp = agents.Hyperparams(
+        gamma=draw(_floats(0.0, 1.0, hi_open=True)), lam=draw(_floats(0.0, 2.0**60)),
+        tau=draw(_floats(0.0, 1.0)), buffer_capacity=draw(ints), batch_size=draw(ints),
+        eps_start=draw(_floats(0.0, 1.0)), eps_end=draw(_floats(0.0, 1.0)),
+        exploration_fraction=draw(_floats(0.0, 2.0**60)),
+        target_update_period=draw(ints), train_frequency=draw(ints),
+        k_neighbors=draw(ints), ae_mode=draw(st.sampled_from(agents.AE_MODES)),
+        learning_rate=draw(_floats(5e-324, 2.0**60)),
+        hidden=tuple(draw(st.lists(ints, max_size=3))), teacher_steps=draw(ints),
+        offline_steps=draw(st.one_of(st.just(0), ints)), her_extra=draw(st.integers(0, 64)),
+        distill_temperature=draw(_floats(5e-324, 2.0**60)))
+    return harness.RunConfig(
+        env_name=draw(st.sampled_from(sorted(envs.PRESETS))),
+        agent=draw(st.sampled_from(agents.AGENT_KINDS)), total_steps=draw(ints),
+        seed=draw(st.integers(-2**63, 2**63)), out_dir=draw(WORDS), hp=hp,
+        env_options=draw(st.dictionaries(st.sampled_from(["width", "height", "max_steps"]),
+                                         st.integers(1, 64))),
+        encoder_spec=draw(st.one_of(st.just("identity"), WORDS.map("vae:{}".format))),
+        demo_path=draw(st.none() | WORDS), eval_cadence=draw(st.none() | ints),
+        eval_episodes=draw(ints))
+
+
+@given(cfg=run_configs())
+@settings(max_examples=150, deadline=None)
+def test_a_config_reads_back_from_its_text(cfg) -> None:
+    assert repr(config_from_text(config_text(cfg)).echo()) == repr(cfg.echo())
+
+
+# Every key a config may name, and values that are wrong in as many ways as
+# possible: empty, non-numeric, non-finite, negative, zero, fractional, too
+# large for a float or for the grid builder, and lists.
+CONFIG_KEYS = ([("run", key) for key in ("agent", "env", "total_steps", "seed", "out_dir",
+                                         "demos", "encoder", "eval_cadence", "eval_episodes")]
+               + [("env", key) for key in ("width", "height", "size", "length", "max_steps",
+                                           "n_items", "item_seed", "doorway_seed",
+                                           "view_radius")]
+               + [("hyperparams", "lambda" if f.name == "lam" else f.name)
+                  for f in dataclasses.fields(agents.Hyperparams)])
+BAD_VALUES = ["", "0", "-1", "1", "3", "-0.0", "0.5", "1e-300", "5e-324", "nan", "inf",
+              "-inf", str(2**60), "1" + "0" * 400, "1e400", "fast", "16,0", "2,2",
+              "vae:", "cdql-ae", "collect-grid"]
+
+
+def mutated(agent: str, env: str, key: tuple[str, str], value: str, demo_path: str) -> str:
+    """A well-formed config with one key set to ``value``."""
+    section, name = key
+    text = (f"[run]\nagent = {agent}\nenv = {env}\ntotal_steps = 1000\nseed = 1\n"
+            f"out_dir = runs/x\ndemos = {demo_path}\n[env]\n[hyperparams]\n")
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n")
+    return "\n".join(line for line in text.splitlines()
+                     if not line.startswith(f"{name} = ") or line == f"{name} = {value}")
+
+
+def load_or_config_error(text: str) -> None:
+    try:
+        config_from_text(text).validate()
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS, ids=[name for _, name in CONFIG_KEYS])
+def test_a_listed_bad_value_loads_or_is_a_config_error(room_store_path, key) -> None:
+    """Each value of BAD_VALUES for one key, on each preset and a kind with
+    and without demos: the config loads and validates, or raises ConfigError;
+    never anything else.  It found total_steps = 10**400 raising
+    OverflowError in the budget scaling, n_items = 10**400 raising it in the
+    item draw, and a grid side of 2**60 running the process out of memory."""
+    for agent in ("cdql", "cdql-ae"):
+        for env in sorted(envs.PRESETS):
+            for value in BAD_VALUES:
+                load_or_config_error(mutated(agent, env, key, value, room_store_path))
+
+
+@given(agent=st.sampled_from(agents.AGENT_KINDS), env=st.sampled_from(sorted(envs.PRESETS)),
+       key=st.sampled_from(CONFIG_KEYS),
+       value=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_a_one_value_mutation_loads_or_is_a_config_error(room_store_path, agent, env, key,
+                                                          value) -> None:
+    load_or_config_error(mutated(agent, env, key, value, room_store_path))
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -224,7 +344,8 @@ def test_out_of_range_hyperparams_exit_with_a_config_error(tmp_path, capsys, ove
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("env", ["width = 0", "height = -3", "max_steps = 0"])
+@pytest.mark.parametrize("env", ["width = 0", "height = -3", "max_steps = 0",
+                                 f"width = {2**60}"])
 def test_a_value_the_env_rejects_exits_with_a_config_error(tmp_path, capsys, env) -> None:
     config_path = str(tmp_path / "run.cfg")
     with open(config_path, "w", encoding="utf-8") as fh:

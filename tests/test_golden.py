@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from kickrl import agents, demos, encoders, harness
-from kickrl.nets import forward_values, mlp
+from kickrl.nets import DenseNet, forward_values, mlp
 from kickrl.seeding import spawn_rng
 
 STEPS = 600
@@ -163,6 +163,34 @@ def test_forward_row_count_classes_are_the_recorded_ones() -> None:
                   if not np.array_equal(rows(n), whole[:n])]
     assert not moved, ("forward_values row-count classes moved on this BLAS build: "
                        + "; ".join(moved) + ". The golden hashes assume the recorded ones.")
+
+
+def blas_build() -> str:
+    """The BLAS numpy was built against, as its name and version."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def test_hidden_layer_rows_round_alike_at_every_row_count_above_one() -> None:
+    """The premise of nets.forward_values_gathered, which runs the demo-Q
+    refresh's hidden layers over the index's distinct latents (63 on room-nav,
+    101 on four-rooms) and gathers them to every row (1,557 and 2,338): the
+    256-wide hidden layers give a row the same bits at every row count from 2
+    up, on both sides of ROW_CLASS_BOUNDARY, and a 1-row forward (a gemv)
+    other bits."""
+    counts = (2, 63, 101, ROW_CLASS_BOUNDARY - 1, ROW_CLASS_BOUNDARY, 1557)
+    moved = []
+    for dim in (128, 16):
+        hidden = DenseNet(mlp(dim, 4, (256, 256), spawn_rng(0, "hidden-rows", dim)).layers[:-1])
+        x = np.random.default_rng(dim).standard_normal((2338, dim))
+        whole = forward_values(hidden, x)
+        moved += [f"{dim}->256->256 at {n} rows rounds unlike 2338 rows" for n in counts
+                  if not np.array_equal(forward_values(hidden, x[:n]), whole[:n])]
+        if np.array_equal(forward_values(hidden, x[:1]), whole[:1]):
+            moved.append(f"{dim}->256->256 at 1 row rounds as 2338 rows do")
+    assert not moved, (f"hidden-layer rounding moved on this BLAS build ({blas_build()}): "
+                       + "; ".join(moved) + ". forward_values_gathered and the golden "
+                       "hashes assume every count from 2 up rounds alike.")
 
 
 @pytest.fixture(scope="module")

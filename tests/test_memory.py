@@ -18,25 +18,44 @@ from kickrl.retrieval import LatentIndex
 from kickrl.seeding import spawn_seed
 
 
-def test_demo_q_refresh_holds_two_hidden_layers_at_a_time() -> None:
-    """The benchmark's four-rooms index: 2,338 rows of 16-dim latents under
-    two hidden layers of 256.  Out-of-place bias adds and activations, with
-    every layer's output kept, peaked near four layers' worth of rows."""
-    rows, hidden = 2338, 256
+def _refresh_peak(latents: np.ndarray, hidden: int) -> int:
+    """Peak bytes of one demo-Q refresh on an index of these latents, under
+    two hidden layers of ``hidden``."""
+    rows = len(latents)
     rng = np.random.default_rng(0)
-    index = LatentIndex(latents=rng.standard_normal((rows, 16)),
-                        actions=rng.integers(0, 4, rows), rewards=np.zeros(rows),
+    index = LatentIndex(latents=latents, actions=rng.integers(0, 4, rows), rewards=np.zeros(rows),
                         provenance=[(0, t) for t in range(rows)], encoder_id="test",
                         env_id="four-rooms", action_count=4)
     hp = replace(agents.defaults_for("cdql-ae"), hidden=(hidden, hidden))
-    learner = agents.AdversarialKickstartLearner(16, 4, hp, 1, index=index)
+    learner = agents.AdversarialKickstartLearner(latents.shape[1], 4, hp, 1, index=index)
     tracemalloc.start()
     try:
         learner._refresh_demo_cache()
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * rows * hidden * 8
+
+
+def test_demo_q_refresh_holds_two_hidden_layers_at_a_time() -> None:
+    """The benchmark's four-rooms index size, 2,338 rows of 16-dim latents,
+    with no latent repeated, under two hidden layers of 256: two (rows, 256)
+    arrays at a time (the second hidden layer and its gather).
+    Out-of-place bias adds and activations, with every layer's output kept,
+    peaked near four layers' worth of rows.  Measured: 2.03x."""
+    rows, hidden = 2338, 256
+    latents = np.random.default_rng(0).standard_normal((rows, 16))
+    assert _refresh_peak(latents, hidden) <= 2.5 * rows * hidden * 8
+
+
+def test_demo_q_refresh_holds_one_hidden_layer_of_rows_when_latents_repeat() -> None:
+    """101 distinct latents in 2,338 rows, as in the benchmark's four-rooms
+    index: the hidden layers run on 101 rows, and only their gather to every
+    row is (rows, 256).  A forward over every row peaked at 2.01x.
+    Measured: 1.07x."""
+    rows, hidden = 2338, 256
+    rng = np.random.default_rng(1)
+    latents = rng.standard_normal((101, 16))[rng.integers(0, 101, rows)]
+    assert _refresh_peak(latents, hidden) <= 1.25 * rows * hidden * 8
 
 
 def test_forward_values_holds_one_layer_output_at_a_time() -> None:

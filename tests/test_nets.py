@@ -389,6 +389,41 @@ def test_forward_values_checks_the_batch_width() -> None:
         nets.forward_values(small_net(87), np.zeros((2, 5)))
 
 
+@given(input_dim=st.integers(1, 40),
+       hidden=st.lists(st.integers(1, 8).map(lambda w: 8 * w), min_size=1, max_size=3),
+       output_dim=st.integers(1, 6), distinct=st.integers(1, 120), rows=st.integers(1, 2400),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_forward_values_gathered_equals_a_forward_over_the_gathered_rows(
+        input_dim, hidden, output_dim, distinct, rows, seed) -> None:
+    """Bitwise, for any count of distinct rows and of ids, on both sides of
+    the output layer's 977-row class.  Hidden widths are multiples of 8, the
+    widths whose gemm rounds a row alike at every row count above 1 on the
+    recorded BLAS build (a 35->11 layer, for one, does not)."""
+    rng = np.random.default_rng(seed)
+    net = nets.mlp(input_dim, output_dim, tuple(hidden), rng)
+    x = rng.standard_normal((distinct, input_dim))
+    ids = rng.integers(0, distinct, rows)
+    assert np.array_equal(nets.forward_values_gathered(net, x, ids),
+                          nets.forward_values(net, x[ids]))
+
+
+@pytest.mark.parametrize("distinct, rows", [(1, 1), (1, 2), (1, 1557), (2, 1), (63, 1557),
+                                            (101, 2338)])
+@pytest.mark.parametrize("shape", sorted(PREMISE_SHAPES))
+def test_forward_values_gathered_on_the_package_nets(shape, distinct, rows) -> None:
+    """The demo-Q refresh's index shapes, and a lone row or id, which a
+    gathered forward runs as a 2-row gemm or a 1-row gemv like the plain one."""
+    dims, activations = PREMISE_SHAPES[shape]
+    rng = np.random.default_rng(88)
+    net = nets.init_net(dims, activations, rng)
+    x = rng.standard_normal((distinct, dims[0]))
+    ids = np.concatenate([np.arange(min(distinct, rows)),
+                          rng.integers(0, distinct, max(0, rows - distinct))])
+    assert np.array_equal(nets.forward_values_gathered(net, x, ids),
+                          nets.forward_values(net, x[ids]))
+
+
 def counted(net):
     calls = []
 
