@@ -31,7 +31,6 @@ from .harness import (
     RunConfig,
     compare_runs,
     evaluate,
-    replay_sample,
     report_table,
     run_seeds,
     train_run,
@@ -69,7 +68,6 @@ __all__ = [
     "make_four_rooms",
     "make_room_nav",
     "posterior_update",
-    "replay_sample",
     "report_table",
     "run_seeds",
     "save_demos",

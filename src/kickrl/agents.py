@@ -364,34 +364,15 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
 # -- hindsight relabeling -----------------------------------------------------------
 
 
-def her_augment(batch: list[Transition], buffer, n_extra: int,
-                rng: np.random.Generator) -> list[Transition]:
-    """Append n_extra uniformly sampled transitions relabeled as successes.
-
-    The originals pass through untouched; relabeled copies get reward 1 and
-    the terminated flag (truncated cleared so the flags stay exclusive).
-    Sampling is with replacement, so small buffers are fine.
-    """
-    out = list(batch)
+def her_augment(slots: np.ndarray, buffer_len: int, n_extra: int,
+                rng: np.random.Generator | None) -> np.ndarray:
+    """``slots`` followed by n_extra uniform replay slots, which the batch
+    relabels as successes.  One draw per row, in order; none when n_extra
+    is 0.  Sampling is with replacement, so small buffers are fine."""
     if n_extra == 0:
-        return out
-    if len(buffer) == 0:
-        raise ValueError("buffer is empty")
-    for slot in her_slots(len(buffer), n_extra, rng):
-        out.append(replace(buffer[int(slot)], reward=1.0, terminated=True, truncated=False))
-    return out
-
-
-def her_slots(buffer_len: int, n_extra: int, rng: np.random.Generator) -> np.ndarray:
-    """The replay slots her_augment relabels: one draw per row, in order."""
-    return np.array([rng.integers(buffer_len) for _ in range(n_extra)], dtype=np.int64)
-
-
-def her_relabel(batch: ArrayBatch, first: int) -> None:
-    """Relabel rows ``first:`` of a batch as her_augment relabels transitions."""
-    batch.rewards[first:] = 1.0
-    batch.terminated[first:] = 1.0
-    batch.truncated[first:] = 0.0
+        return slots
+    extra = [rng.integers(buffer_len) for _ in range(n_extra)]
+    return np.concatenate([slots, np.array(extra, dtype=np.int64)])
 
 
 # -- behavioral cloning ---------------------------------------------------------------

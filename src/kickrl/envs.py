@@ -55,6 +55,8 @@ class GridWorldSpec:
                            "collect" if self.kind == "collect-grid" else "sparse-success")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.view_radius is not None and self.view_radius < 0:
+            raise ValueError(f"view_radius must be >= 0, got {self.view_radius}")
         for name, cells in (("goal", self.goals), ("item", self.items),
                             ("hazard", self.hazards)):
             for c in cells:

@@ -29,9 +29,7 @@ from .agents import (
     LossBreakdown,
     eps_at,
     greedy_action,
-    her_augment,  # unused here; bench/spans.py traces it as harness.her_augment
-    her_relabel,
-    her_slots,
+    her_augment,
 )
 from .demos import Transition, load_demos
 from .encoders import (
@@ -61,7 +59,7 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions; oldest entries evicted first.
 
     A slot is one row of the columns obs_ids (the ids of obs and next_obs),
-    action, reward, terminated, truncated and t.  Observations are interned in
+    action, reward, terminated and truncated.  Observations are interned in
     the RowTable ``observations``.  Grid-world observations repeat (room-nav
     has 63 distinct ones), so it stays small.  Observations that never repeat
     grow it to at most ``TABLE_ROWS_PER_SLOT * capacity`` rows; it is then
@@ -76,7 +74,6 @@ class ReplayBuffer:
         self._reward = np.empty(capacity, dtype=np.float64)
         self._terminated = np.empty(capacity, dtype=bool)
         self._truncated = np.empty(capacity, dtype=bool)
-        self._t = np.empty(capacity, dtype=np.int64)
         self.observations = RowTable(max_rows=TABLE_ROWS_PER_SLOT * capacity)
         self._size = 0
         self._cursor = 0
@@ -92,34 +89,15 @@ class ReplayBuffer:
         self._reward[slot] = tr.reward
         self._terminated[slot] = tr.terminated
         self._truncated[slot] = tr.truncated
-        self._t[slot] = tr.t
         self._cursor = (slot + 1) % self.capacity
         self._size = min(n + 1, self.capacity)
 
     def __len__(self) -> int:
         return self._size
 
-    def __getitem__(self, slot: int) -> Transition:
-        slot = range(self._size)[slot]  # IndexError outside the filled slots
-        return Transition(
-            obs=self.observations.rows[self._obs_ids[slot, 0]].copy(),
-            action=int(self._action[slot]),
-            reward=float(self._reward[slot]),
-            next_obs=self.observations.rows[self._obs_ids[slot, 1]].copy(),
-            terminated=bool(self._terminated[slot]),
-            truncated=bool(self._truncated[slot]),
-            t=int(self._t[slot]),
-        )
-
-    def sample_slots(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform slots, with replacement."""
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty buffer")
-        return rng.integers(0, self._size, size=batch_size)
-
     def take(self, slots: np.ndarray, encoder: Encoder) -> ArrayBatch:
         """The transitions in ``slots`` as a new batch, bitwise equal to
-        ``ArrayBatch.from_transitions([self[s] for s in slots], encoder)``."""
+        ``ArrayBatch.from_transitions`` over the transitions pushed there."""
         return ArrayBatch(
             latents=encoder.encode_batch(self.observations.rows[self._obs_ids[slots, 0]]),
             actions=self._action[slots],
@@ -131,22 +109,26 @@ class ReplayBuffer:
 
 
 def replay_sample(buffer: ReplayBuffer, batch_size: int,
-                  rng: np.random.Generator) -> list[Transition]:
-    """Uniform sampling with replacement."""
-    return [buffer[int(slot)] for slot in buffer.sample_slots(batch_size, rng)]
+                  rng: np.random.Generator) -> np.ndarray:
+    """Uniform slots of ``buffer``, drawn with replacement."""
+    if len(buffer) == 0:
+        raise ValueError("cannot sample from an empty buffer")
+    return rng.integers(0, len(buffer), size=batch_size)
 
 
 def replay_batch(buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator,
                  encoder: Encoder, her_extra: int = 0,
                  her_rng: np.random.Generator | None = None) -> ArrayBatch:
-    """``ArrayBatch.from_transitions(her_augment(replay_sample(buffer,
-    batch_size, rng), buffer, her_extra, her_rng), encoder)``, bitwise and by
-    the same draws, gathered from the replay columns."""
-    slots = buffer.sample_slots(batch_size, rng)
-    if her_extra:
-        slots = np.concatenate([slots, her_slots(len(buffer), her_extra, her_rng)])
+    """``batch_size`` uniform transitions, then ``her_extra`` more relabeled
+    as successes: reward 1 and terminated (truncated cleared, so the flags
+    stay exclusive).  One ``take`` gathers and encodes every row; split in
+    two, a 1-row encode would be a gemv and round differently."""
+    slots = her_augment(replay_sample(buffer, batch_size, rng), len(buffer), her_extra,
+                        her_rng)
     batch = buffer.take(slots, encoder)
-    her_relabel(batch, batch_size)
+    batch.rewards[batch_size:] = 1.0
+    batch.terminated[batch_size:] = 1.0
+    batch.truncated[batch_size:] = 0.0
     return batch
 
 
@@ -209,14 +191,15 @@ class RunConfig:
 
 # Building a spec lists and searches its cells in Python, so a side of 2**60
 # cells ran the process out of memory instead of failing; 256 builds in 0.4 s.
+# A view radius is bounded alike: its window is 2 * radius + 1 cells a side.
 MAX_GRID_SIDE = 256
 
 
 def build_spec(name: str, options: dict) -> GridWorldSpec:
     if name not in PRESETS:
         raise ConfigError(f"unknown env {name!r} (choose from {sorted(PRESETS)})")
-    for key in ("width", "height", "size", "length"):
-        if key in options and not options[key] <= MAX_GRID_SIDE:
+    for key in ("width", "height", "size", "length", "view_radius"):
+        if options.get(key) is not None and not options[key] <= MAX_GRID_SIDE:
             raise ConfigError(f"bad env option: {key} = {options[key]} is over "
                               f"{MAX_GRID_SIDE} cells")
     try:
@@ -716,8 +699,11 @@ class SpeedupReport:
             return "not reached" if x is None else f"{x:g}"
         head = (f"threshold {self.threshold:g}: baseline {steps(self.baseline_steps)}, "
                 f"treatment {steps(self.treatment_steps)}")
-        if self.speedup is None:
+        if self.speedup is None and None in (self.baseline_steps, self.treatment_steps):
             return head + " -> speedup not reached"
+        if self.speedup is None:  # both crossed, the baseline at step 0 (or before)
+            return head + (f" -> no speedup ratio: the baseline crosses at step "
+                           f"{self.baseline_steps:g}")
         return head + f" -> speedup {self.speedup * 100:.1f}%"
 
 

@@ -372,15 +372,22 @@ def test_her_composition_exact() -> None:
             obs=rng.standard_normal(4), action=int(rng.integers(0, 4)),
             reward=float(rng.standard_normal()), next_obs=rng.standard_normal(4),
             terminated=False, truncated=False, t=i))
-    batch = harness.replay_sample(buffer, 32, spawn_rng(17, "s"))
-    originals = list(batch)
-    out = agents.her_augment(batch, buffer, 16, spawn_rng(18, "h"))
+    encoder = encoders.IdentityEncoder(4)
+    sample_rng, her_rng = spawn_rng(17, "s"), spawn_rng(18, "h")
+    out = harness.replay_batch(buffer, 32, sample_rng, encoder, 16, her_rng)
     assert len(out) == 48
-    assert out[:32] == originals
-    relabeled = out[32:]
-    assert len(relabeled) == 16
-    assert all(tr.reward == 1.0 and tr.terminated and not tr.truncated
-               for tr in relabeled)
+    ref_sample_rng, ref_her_rng = spawn_rng(17, "s"), spawn_rng(18, "h")
+    originals = buffer.take(harness.replay_sample(buffer, 32, ref_sample_rng), encoder)
+    sources = buffer.take(agents.her_augment(np.arange(0), len(buffer), 16, ref_her_rng),
+                          encoder)
+    for name, values in vars(out).items():
+        assert values[:32].tobytes() == getattr(originals, name).tobytes(), name
+        if name in ("latents", "actions", "next_latents"):
+            assert values[32:].tobytes() == getattr(sources, name).tobytes(), name
+    assert np.all(out.rewards[32:] == 1.0)
+    assert np.all(out.terminated[32:] == 1.0) and np.all(out.truncated[32:] == 0.0)
+    assert sample_rng.bit_generator.state == ref_sample_rng.bit_generator.state
+    assert her_rng.bit_generator.state == ref_her_rng.bit_generator.state
     _announce("HER composition (32 + 16 relabeled, originals exact)")
 
 

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from kickrl import agents, demos, envs, nets, retrieval
+from kickrl import agents, demos, envs, harness, nets, retrieval
 from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder
-from kickrl.harness import ReplayBuffer
 from kickrl.nets import forward, forward_values, grad_check, mlp
 from kickrl.seeding import spawn_rng
 
@@ -555,8 +554,8 @@ def test_awac_actor_gradient_matches_finite_differences() -> None:
 # -- hindsight relabeling -----------------------------------------------------------------
 
 
-def _filled_buffer(rng, n=50) -> ReplayBuffer:
-    buffer = ReplayBuffer(capacity=100)
+def _filled_buffer(rng, n=50) -> harness.ReplayBuffer:
+    buffer = harness.ReplayBuffer(capacity=100)
     for i in range(n):
         buffer.push(Transition(
             obs=rng.standard_normal(3), action=int(rng.integers(0, 4)),
@@ -568,42 +567,50 @@ def _filled_buffer(rng, n=50) -> ReplayBuffer:
 def test_her_appends_sixteen_relabeled_successes() -> None:
     rng = np.random.default_rng(28)
     buffer = _filled_buffer(rng)
-    batch = [buffer[i] for i in range(32)]
-    out = agents.her_augment(batch, buffer, 16, spawn_rng(1, "her"))
-    assert len(out) == 48
-    assert out[:32] == batch  # originals untouched, prefix equality
-    for tr in out[32:]:
-        assert tr.reward == 1.0
-        assert tr.terminated and not tr.truncated
+    slots = np.arange(32)
+    out = agents.her_augment(slots, len(buffer), 16, spawn_rng(1, "her"))
+    assert out.shape == (48,) and out.dtype == np.int64
+    assert np.array_equal(out[:32], slots)  # originals untouched, prefix equality
+    batch = harness.replay_batch(buffer, 32, spawn_rng(1, "s"), IdentityEncoder(3), 16,
+                                 spawn_rng(1, "her"))
+    assert np.all(batch.rewards[32:] == 1.0)
+    assert np.all(batch.terminated[32:] == 1.0) and np.all(batch.truncated[32:] == 0.0)
 
 
 def test_her_zero_extra_is_identity() -> None:
-    rng = np.random.default_rng(29)
-    buffer = _filled_buffer(rng)
-    batch = [buffer[0]]
-    assert agents.her_augment(batch, buffer, 0, spawn_rng(2, "her")) == batch
+    slots = np.arange(5)
+    rng = spawn_rng(2, "her")
+    before = rng.bit_generator.state
+    assert agents.her_augment(slots, 50, 0, rng) is slots
+    assert rng.bit_generator.state == before  # no draw
 
 
 def test_her_relabels_regardless_of_original_reward() -> None:
     rng = np.random.default_rng(30)
     buffer = _filled_buffer(rng)
-    out = agents.her_augment([], buffer, 16, spawn_rng(3, "her"))
-    assert all(tr.reward == 1.0 for tr in out)
+    encoder = IdentityEncoder(3)
+    out = harness.replay_batch(buffer, 0, spawn_rng(3, "s"), encoder, 16, spawn_rng(3, "her"))
+    originals = buffer.take(agents.her_augment(np.arange(0), len(buffer), 16,
+                                               spawn_rng(3, "her")), encoder)
+    assert np.all(originals.rewards != 1.0)
+    assert np.all(out.rewards == 1.0)
+    assert np.array_equal(out.actions, originals.actions)
 
 
 def test_her_samples_with_replacement_from_small_buffers() -> None:
-    rng = np.random.default_rng(31)
-    buffer = _filled_buffer(rng, n=3)
-    out = agents.her_augment([], buffer, 16, spawn_rng(4, "her"))
+    out = agents.her_augment(np.arange(0), 3, 16, spawn_rng(4, "her"))
     assert len(out) == 16
+    assert set(out.tolist()) <= {0, 1, 2}
 
 
 def test_her_does_not_mutate_buffer_contents() -> None:
     rng = np.random.default_rng(32)
     buffer = _filled_buffer(rng)
-    rewards_before = [tr.reward for tr in buffer]
-    agents.her_augment([], buffer, 16, spawn_rng(5, "her"))
-    assert [tr.reward for tr in buffer] == rewards_before
+    every = np.arange(len(buffer))
+    rewards_before = buffer.take(every, IdentityEncoder(3)).rewards
+    harness.replay_batch(buffer, 32, spawn_rng(5, "s"), IdentityEncoder(3), 16,
+                         spawn_rng(5, "her"))
+    assert np.array_equal(buffer.take(every, IdentityEncoder(3)).rewards, rewards_before)
 
 
 # -- behavioral cloning -------------------------------------------------------------------

@@ -192,6 +192,10 @@ CONFIG_KEYS = ([("run", key) for key in ("agent", "env", "total_steps", "seed", 
 BAD_VALUES = ["", "0", "-1", "1", "3", "-0.0", "0.5", "1e-300", "5e-324", "nan", "inf",
               "-inf", str(2**60), "1" + "0" * 400, "1e400", "fast", "16,0", "2,2",
               "vae:", "cdql-ae", "collect-grid"]
+# Values of BAD_VALUES that a key must refuse on every preset, not load.  A
+# view radius of -1 loaded and failed at run time; one of 2**60 loaded.
+REFUSED = {name: ("-1", str(2**60))
+           for name in ("width", "height", "size", "length", "view_radius")}
 
 
 def mutated(agent: str, env: str, key: tuple[str, str], value: str, demo_path: str) -> str:
@@ -217,11 +221,17 @@ def test_a_listed_bad_value_loads_or_is_a_config_error(room_store_path, key) -> 
     and without demos: the config loads and validates, or raises ConfigError;
     never anything else.  It found total_steps = 10**400 raising
     OverflowError in the budget scaling, n_items = 10**400 raising it in the
-    item draw, and a grid side of 2**60 running the process out of memory."""
+    item draw, and a grid side of 2**60 running the process out of memory.
+    The values REFUSED lists for the key must raise ConfigError."""
     for agent in ("cdql", "cdql-ae"):
         for env in sorted(envs.PRESETS):
             for value in BAD_VALUES:
-                load_or_config_error(mutated(agent, env, key, value, room_store_path))
+                text = mutated(agent, env, key, value, room_store_path)
+                if value in REFUSED.get(key[1], ()):
+                    with pytest.raises(ConfigError):
+                        config_from_text(text).validate()
+                else:
+                    load_or_config_error(text)
 
 
 @given(agent=st.sampled_from(agents.AGENT_KINDS), env=st.sampled_from(sorted(envs.PRESETS)),
@@ -345,7 +355,8 @@ def test_out_of_range_hyperparams_exit_with_a_config_error(tmp_path, capsys, ove
 
 
 @pytest.mark.parametrize("env", ["width = 0", "height = -3", "max_steps = 0",
-                                 f"width = {2**60}"])
+                                 f"width = {2**60}", "view_radius = -1",
+                                 "view_radius = 300", f"view_radius = {2**60}"])
 def test_a_value_the_env_rejects_exits_with_a_config_error(tmp_path, capsys, env) -> None:
     config_path = str(tmp_path / "run.cfg")
     with open(config_path, "w", encoding="utf-8") as fh:

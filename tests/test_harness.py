@@ -34,12 +34,16 @@ def tiny_cfg(tmp_path, agent="cdql", total=1200, seed=1, demo_path=None,
 # -- replay buffer -----------------------------------------------------------------
 
 
+def _rewards(buffer: harness.ReplayBuffer) -> list[float]:
+    """The reward of every filled slot; ``_tr(i)`` has reward i."""
+    return list(buffer.take(np.arange(len(buffer)), IdentityEncoder(1)).rewards)
+
+
 def test_buffer_evicts_oldest_first() -> None:
     buffer = harness.ReplayBuffer(capacity=3)
     for i in range(4):
         buffer.push(_tr(i))
-    stored = sorted(tr.t for tr in buffer)
-    assert stored == [1, 2, 3]
+    assert sorted(_rewards(buffer)) == [1.0, 2.0, 3.0]
     assert len(buffer) == 3
 
 
@@ -47,15 +51,16 @@ def test_buffer_holds_exactly_last_capacity_after_overflow() -> None:
     buffer = harness.ReplayBuffer(capacity=5)
     for i in range(12):
         buffer.push(_tr(i))
-    assert sorted(tr.t for tr in buffer) == list(range(7, 12))
+    assert sorted(_rewards(buffer)) == [float(i) for i in range(7, 12)]
 
 
 def test_sample_returns_requested_batch_size() -> None:
     buffer = harness.ReplayBuffer(capacity=10)
     for i in range(4):
         buffer.push(_tr(i))
-    batch = harness.replay_sample(buffer, 32, spawn_rng(0, "s"))
-    assert len(batch) == 32  # sampling is with replacement
+    slots = harness.replay_sample(buffer, 32, spawn_rng(0, "s"))
+    assert slots.shape == (32,) and slots.dtype == np.int64  # with replacement
+    assert set(slots.tolist()) <= {0, 1, 2, 3}
 
 
 def test_sample_is_deterministic_given_rng_state() -> None:
@@ -64,11 +69,11 @@ def test_sample_is_deterministic_given_rng_state() -> None:
         buffer.push(_tr(i))
     a = harness.replay_sample(buffer, 8, spawn_rng(1, "s"))
     b = harness.replay_sample(buffer, 8, spawn_rng(1, "s"))
-    assert [t.t for t in a] == [t.t for t in b]
+    assert np.array_equal(a, b)
 
 
 def test_sampling_empty_buffer_is_an_error() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty buffer"):
         harness.replay_sample(harness.ReplayBuffer(3), 4, spawn_rng(0, "s"))
 
 
@@ -450,6 +455,22 @@ def test_compare_never_crossing_reports_not_reached() -> None:
     assert report.treatment_steps is None
     assert report.speedup is None
     assert "not reached" in report.formatted()
+
+
+@pytest.mark.parametrize("baseline, treatment, line", [
+    ([0.0, 0.9], [0.0, 0.1], "baseline 10, treatment not reached -> speedup not reached"),
+    ([0.0, 0.1], [0.0, 0.9], "baseline not reached, treatment 10 -> speedup not reached"),
+    ([0.9, 0.9], [0.0, 0.1], "baseline 0, treatment not reached -> speedup not reached"),
+    ([0.9, 0.9], [0.9, 0.9], "baseline 0, treatment 0 -> speedup 0.0%"),
+    ([0.0, 0.9], [0.9, 0.9], "baseline 10, treatment 0 -> speedup 100.0%"),
+    ([0.9, 0.9], [0.0, 0.9],
+     "baseline 0, treatment 10 -> no speedup ratio: the baseline crosses at step 0"),
+])
+def test_compare_prints_one_exact_line_per_outcome(baseline, treatment, line) -> None:
+    report = harness.compare_runs([_summary("env-a", "cdql", 0, [0, 10], baseline)],
+                                  [_summary("env-a", "cdql-ae", 0, [0, 10], treatment)],
+                                  threshold=0.8)
+    assert report.formatted() == "threshold 0.8: " + line
 
 
 def test_compare_rejects_non_positive_threshold() -> None:
