@@ -367,12 +367,12 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
 def her_augment(slots: np.ndarray, buffer_len: int, n_extra: int,
                 rng: np.random.Generator | None) -> np.ndarray:
     """``slots`` followed by n_extra uniform replay slots, which the batch
-    relabels as successes.  One draw per row, in order; none when n_extra
-    is 0.  Sampling is with replacement, so small buffers are fine."""
+    relabels as successes.  One ``integers(buffer_len, size=n_extra)`` draw,
+    whose values and RNG state equal n_extra single draws in order; none when
+    n_extra is 0.  Sampling is with replacement, so small buffers are fine."""
     if n_extra == 0:
         return slots
-    extra = [rng.integers(buffer_len) for _ in range(n_extra)]
-    return np.concatenate([slots, np.array(extra, dtype=np.int64)])
+    return np.concatenate([slots, rng.integers(buffer_len, size=n_extra)])
 
 
 # -- behavioral cloning ---------------------------------------------------------------

@@ -118,15 +118,38 @@ class StandardizeEncoder(Encoder):
         return (batch - self.mean) / self.std
 
 
-def _corpus(observations: np.ndarray) -> np.ndarray:
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.ndim != 2 or obs.size == 0:
-        raise ValueError(f"observations must be a non-empty (n, d) corpus, got shape {obs.shape}")
-    return obs
+@dataclass(frozen=True)
+class Corpus:
+    """A training corpus held once per distinct observation: row i is
+    ``rows[ids[i]]``.  ``rows`` is (m, d) float64, ``ids`` is (n,) int64, and
+    ``len`` is n."""
+
+    rows: np.ndarray
+    ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-def fit_standardizer(observations: np.ndarray, std_floor: float = 1e-8) -> StandardizeEncoder:
-    obs = _corpus(observations)
+def _corpus(observations: Corpus | np.ndarray) -> Corpus:
+    """A checked Corpus; an (n, d) array becomes one over its own rows, with
+    no copy."""
+    if not isinstance(observations, Corpus):
+        obs = np.asarray(observations, dtype=np.float64)
+        observations = Corpus(obs, np.arange(obs.shape[0] if obs.ndim else 0))
+    rows, ids = np.asarray(observations.rows, dtype=np.float64), np.asarray(observations.ids)
+    if rows.ndim != 2 or rows.size == 0 or ids.ndim != 1 or ids.size == 0:
+        raise ValueError(f"observations must be a non-empty (n, d) corpus, got rows of shape "
+                         f"{rows.shape} and ids of shape {ids.shape}")
+    if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= len(rows):
+        raise ValueError(f"corpus ids must be integers in [0, {len(rows)})")
+    return Corpus(rows, ids)
+
+
+def fit_standardizer(observations: Corpus | np.ndarray,
+                     std_floor: float = 1e-8) -> StandardizeEncoder:
+    corpus = _corpus(observations)
+    obs = corpus.rows[corpus.ids]
     std = np.maximum(obs.std(axis=0), std_floor)  # floor keeps the >0 invariant
     return StandardizeEncoder(obs.mean(axis=0), std)
 
@@ -250,28 +273,28 @@ def vae_train_step(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
     return parts
 
 
-def train_vae(observations: np.ndarray, latent_dim: int,
+def train_vae(observations: Corpus | np.ndarray, latent_dim: int,
               cfg: VaeTrainConfig | None = None, seed: int = 0,
               hidden: tuple[int, ...] = (64, 64)) -> tuple[DenseVaeEncoder, list[VaeLossParts]]:
     """Train a dense VAE over an observation corpus with the ramped KL weight."""
     if not latent_dim >= 1:
         raise ValueError(f"latent_dim must be >= 1, got {latent_dim!r}")
     cfg = cfg or VaeTrainConfig()
-    observations = _corpus(observations)
-    vae = new_vae(observations.shape[1], latent_dim, hidden=hidden, seed=seed)
+    corpus = _corpus(observations)
+    vae = new_vae(corpus.rows.shape[1], latent_dim, hidden=hidden, seed=seed)
     enc_opt = AdamState.for_params(vae.enc_net.param_arrays(), cfg.learning_rate)
     dec_opt = AdamState.for_params(vae.dec_net.param_arrays(), cfg.learning_rate)
     order_rng = spawn_rng(seed, "vae-batches")
-    gathered = np.empty((cfg.batch_size, observations.shape[1]))  # each batch, in turn
+    gathered = np.empty((cfg.batch_size, corpus.rows.shape[1]))  # each batch, in turn
     history: list[VaeLossParts] = []
     for epoch in range(cfg.epochs):
         beta = beta_schedule(epoch, cfg.epochs, cfg)
-        perm = order_rng.permutation(observations.shape[0])
+        perm = order_rng.permutation(len(corpus))
         epoch_parts = None
         for start in range(0, len(perm), cfg.batch_size):
-            rows = perm[start:start + cfg.batch_size]
+            ids = corpus.ids[perm[start:start + cfg.batch_size]]
             # mode "clip" writes straight into out; "raise" would gather a copy
-            chunk = np.take(observations, rows, axis=0, out=gathered[:len(rows)], mode="clip")
+            chunk = np.take(corpus.rows, ids, axis=0, out=gathered[:len(ids)], mode="clip")
             epoch_parts = vae_train_step(vae, chunk, beta, enc_opt, dec_opt)
         if epoch_parts is not None:
             history.append(epoch_parts)
@@ -329,12 +352,11 @@ def load_encoder(path: str) -> Encoder:
     return encoder_from_arrays(arrays, meta_field(meta, "encoder", dict))
 
 
-def collect_random_observations(spec, n_traj: int = 50, seed: int = 0) -> np.ndarray:
+def collect_random_observations(spec, n_traj: int = 50, seed: int = 0) -> Corpus:
     """Roll a uniform-random policy to build a VAE pre-training corpus.
 
     Grid observations repeat (four-rooms: 104 distinct in 5,371 rows), so
-    each distinct one is held once while rolling out, and the corpus is
-    gathered from them at the end."""
+    the corpus holds each distinct one once, with the id of every row."""
     from . import envs  # deferred: envs has no need to exist for pure-VAE use
 
     if not n_traj >= 1:
@@ -347,4 +369,4 @@ def collect_random_observations(spec, n_traj: int = 50, seed: int = 0) -> np.nda
         while not state.done:
             res = envs.step(spec, state, int(rng.integers(spec.action_count)))
             order.append(distinct.add(res.observation))
-    return distinct.rows[order]
+    return Corpus(distinct.rows, np.array(order, dtype=np.int64))

@@ -55,8 +55,10 @@ class GridWorldSpec:
                            "collect" if self.kind == "collect-grid" else "sparse-success")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.view_radius is not None and self.view_radius < 0:
-            raise ValueError(f"view_radius must be >= 0, got {self.view_radius}")
+        # past the grid's larger side a wider window adds only wall cells
+        side = max(self.width, self.height)
+        if self.view_radius is not None and not 0 <= self.view_radius <= side:
+            raise ValueError(f"view_radius must be in [0, {side}], got {self.view_radius}")
         for name, cells in (("goal", self.goals), ("item", self.items),
                             ("hazard", self.hazards)):
             for c in cells:

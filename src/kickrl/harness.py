@@ -191,14 +191,14 @@ class RunConfig:
 
 # Building a spec lists and searches its cells in Python, so a side of 2**60
 # cells ran the process out of memory instead of failing; 256 builds in 0.4 s.
-# A view radius is bounded alike: its window is 2 * radius + 1 cells a side.
+# The spec itself bounds a view radius by the grid's larger side.
 MAX_GRID_SIDE = 256
 
 
 def build_spec(name: str, options: dict) -> GridWorldSpec:
     if name not in PRESETS:
         raise ConfigError(f"unknown env {name!r} (choose from {sorted(PRESETS)})")
-    for key in ("width", "height", "size", "length", "view_radius"):
+    for key in ("width", "height", "size", "length"):
         if options.get(key) is not None and not options[key] <= MAX_GRID_SIDE:
             raise ConfigError(f"bad env option: {key} = {options[key]} is over "
                               f"{MAX_GRID_SIDE} cells")

@@ -51,7 +51,8 @@ def four_rooms_vae(four_rooms_spec):
     return vae
 
 
-MARKED_FILES = {"test_acceptance.py": pytest.mark.acceptance, "test_golden.py": pytest.mark.golden}
+MARKED_FILES = {"test_acceptance.py": pytest.mark.acceptance, "test_golden.py": pytest.mark.golden,
+                "test_memory.py": pytest.mark.memory}
 
 
 def pytest_collection_modifyitems(items):

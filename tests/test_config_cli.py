@@ -355,8 +355,9 @@ def test_out_of_range_hyperparams_exit_with_a_config_error(tmp_path, capsys, ove
 
 
 @pytest.mark.parametrize("env", ["width = 0", "height = -3", "max_steps = 0",
-                                 f"width = {2**60}", "view_radius = -1",
-                                 "view_radius = 300", f"view_radius = {2**60}"])
+                                 f"width = {2**60}", "view_radius = -1", "view_radius = 9",
+                                 "view_radius = 256", "view_radius = 300",
+                                 f"view_radius = {2**60}"])
 def test_a_value_the_env_rejects_exits_with_a_config_error(tmp_path, capsys, env) -> None:
     config_path = str(tmp_path / "run.cfg")
     with open(config_path, "w", encoding="utf-8") as fh:
@@ -366,6 +367,17 @@ def test_a_value_the_env_rejects_exits_with_a_config_error(tmp_path, capsys, env
     assert cli.main(["train", "--config", config_path, "--quiet"]) == 1
     assert "config error: bad env option" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_view_radius_of_the_grids_side_loads(tmp_path) -> None:
+    """room-nav is 8 x 8: a radius of 8 is the widest one a config may ask
+    for; 9 and more add only wall cells, and are refused above."""
+    config_path = str(tmp_path / "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(GOOD + "\n[env]\nview_radius = 8\n")
+    cfg = load_config(config_path)
+    cfg.validate()
+    assert cfg.build_spec().obs_dim == 4 * 17 * 17
 
 
 def test_runtime_errors_exit_code_two(tmp_path, capsys) -> None:

@@ -261,17 +261,32 @@ def test_random_corpus_equals_the_list_stacking_version(preset, n_traj, seed) ->
     spec = envs.PRESETS[preset]()
     corpus = encoders.collect_random_observations(spec, n_traj, seed)
     reference = _reference_random_observations(spec, n_traj, seed)
-    assert corpus.dtype == reference.dtype and corpus.shape == reference.shape
-    assert corpus.tobytes() == reference.tobytes()
-    assert corpus.flags.c_contiguous and corpus.flags.writeable
-    corpus[0, 0] = 7.0  # the rows are the caller's: no two share memory
-    assert np.array_equal(corpus[1:], reference[1:])
+    assert corpus.ids.dtype == np.int64 and corpus.ids.ndim == 1 and len(corpus) == len(reference)
+    gathered = corpus.rows[corpus.ids]
+    assert gathered.dtype == reference.dtype and gathered.shape == reference.shape
+    assert gathered.tobytes() == reference.tobytes()
+    distinct = {row.tobytes() for row in corpus.rows}  # each distinct row is held once
+    assert len(distinct) == len(corpus.rows) == len({row.tobytes() for row in reference})
+    if preset == "four-rooms-nav":
+        assert len(corpus.rows) == 104
+
+
+def test_train_vae_over_a_corpus_saves_the_bytes_of_one_over_its_rows(tmp_path) -> None:
+    corpus = encoders.collect_random_observations(envs.make_room_nav(), 5, seed=1)
+    cfg = encoders.VaeTrainConfig(epochs=1, batch_size=32)
+    saved = []
+    for observations in (corpus, corpus.rows[corpus.ids]):
+        vae, _ = encoders.train_vae(observations, 4, cfg, seed=2)
+        path = tmp_path / f"vae{len(saved)}.jsonl"
+        encoders.save_encoder(vae, str(path))
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 # -- inputs the library refuses ------------------------------------------------------
 
 
-def _room_corpus() -> np.ndarray:
+def _room_corpus() -> encoders.Corpus:
     return encoders.collect_random_observations(envs.make_room_nav(), 2, seed=0)
 
 
@@ -280,7 +295,13 @@ def test_train_vae_rejects_a_latent_dim_below_one() -> None:
         encoders.train_vae(_room_corpus(), 0)
 
 
-@pytest.mark.parametrize("corpus", [np.zeros((0, 128)), np.zeros(0)], ids=["no-rows", "1-D"])
+@pytest.mark.parametrize("corpus", [
+    np.zeros((0, 128)), np.zeros(0),
+    encoders.Corpus(np.zeros((0, 128)), np.zeros(1, dtype=np.int64)),
+    encoders.Corpus(np.zeros((2, 3)), np.zeros(0, dtype=np.int64)),
+    encoders.Corpus(np.zeros((2, 3)), np.zeros((1, 1), dtype=np.int64)),
+    encoders.Corpus(np.zeros(3), np.zeros(1, dtype=np.int64)),
+], ids=["no-rows", "1-D", "corpus-no-rows", "corpus-no-ids", "corpus-2-D-ids", "corpus-1-D-rows"])
 def test_train_vae_rejects_an_empty_corpus(corpus) -> None:
     with pytest.raises(ValueError, match="observations must be a non-empty"):
         encoders.train_vae(corpus, 4)
@@ -289,7 +310,13 @@ def test_train_vae_rejects_an_empty_corpus(corpus) -> None:
 @pytest.mark.filterwarnings("error")
 def test_fit_standardizer_rejects_an_empty_corpus() -> None:
     with pytest.raises(ValueError, match="observations must be a non-empty"):
-        encoders.fit_standardizer(_room_corpus()[:0])
+        encoders.fit_standardizer(np.zeros((0, 128)))
+
+
+@pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [0.0, 1.0]])
+def test_train_vae_rejects_corpus_ids_outside_its_rows(ids) -> None:
+    with pytest.raises(ValueError, match=r"corpus ids must be integers in \[0, 2\)"):
+        encoders.train_vae(encoders.Corpus(np.zeros((2, 3)), np.asarray(ids)), 4)
 
 
 def test_random_corpus_needs_at_least_one_trajectory() -> None:

@@ -223,3 +223,16 @@ def test_a_vae_train_step_allocates_under_256_kib(rows) -> None:
     encoders.vae_train_step(vae, full, 0.0, enc_opt, dec_opt)  # sizes the buffers to 128 rows
     peak = _step_peak(lambda: encoders.vae_train_step(vae, batch, 5e-8, enc_opt, dec_opt))
     assert peak < 256 * 1024
+
+
+def test_the_bench_vae_corpus_and_an_epoch_of_training_peak_under_5_mib() -> None:
+    """The benchmark's four-rooms corpus, 5,371 rows of 242 floats over 104
+    distinct observations, and one epoch of its VAE's training.  Expanding
+    the corpus to one row per step (10.4 MB) peaked at 13.2 MiB.  Measured:
+    3.56 MiB, and 4.29 MiB on a process's first call, which also imports."""
+    def collect_and_train():
+        corpus = encoders.collect_random_observations(envs.make_four_rooms(), 50, seed=0)
+        encoders.train_vae(corpus, 16, encoders.VaeTrainConfig(epochs=1), seed=0)
+
+    _, peak = _traced(collect_and_train)
+    assert peak < 5 * 2**20
