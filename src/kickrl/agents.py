@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .demos import Transition
-from .nets import (Activations, AdamState, DenseNet, RowMemo, RowTable, adam_step, backward,
-                   forward, forward_values, forward_values_gathered, mlp, net_to_arrays,
+from .nets import (Activations, AdamState, DenseNet, RowMemo, adam_step, backward, forward,
+                   forward_values, forward_values_gathered, grown, mlp, net_to_arrays,
                    soft_update)
 from .retrieval import LatentIndex, knn_batch, neighbor_action_counts
 from .seeding import spawn_rng
@@ -168,6 +168,10 @@ class ArrayBatch:
     next_latents: np.ndarray
     terminated: np.ndarray  # 0/1 floats; truncation bootstraps normally
     truncated: np.ndarray
+    # a replay batch's observation ids, in its table's numbering ``generation``
+    obs_ids: np.ndarray | None = None
+    next_obs_ids: np.ndarray | None = None
+    generation: object = None
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -187,7 +191,8 @@ class ArrayBatch:
 
     def take(self, idx: np.ndarray) -> "ArrayBatch":
         """The rows idx of this batch, as a new batch."""
-        return ArrayBatch(**{name: values[idx] for name, values in vars(self).items()})
+        return replace(self, **{name: values[idx] for name, values in vars(self).items()
+                                if isinstance(values, np.ndarray)})
 
 
 # -- temporal-difference core -------------------------------------------------
@@ -198,7 +203,8 @@ def _min_bootstrap(batch: ArrayBatch, q_online: DenseNet, q_target,
     """gamma * min(online, target) at the online argmax, masked on termination."""
     next_online = forward_values(q_online, batch.next_latents)
     a_star = np.argmax(next_online, axis=1)
-    next_target = (q_target(batch.next_latents) if callable(q_target)
+    next_target = (q_target(batch.next_latents, batch.next_obs_ids, batch.generation)
+                   if isinstance(q_target, RowMemo)
                    else forward_values(q_target, batch.next_latents))
     rows = np.arange(len(batch))
     boot = np.minimum(next_online[rows, a_star], next_target[rows, a_star])
@@ -209,8 +215,8 @@ def clipped_target(batch: ArrayBatch, q_online: DenseNet, q_target,
                    gamma: float) -> np.ndarray:
     """Bootstrap on the smaller of the online and target estimates.
 
-    ``q_target`` is the target net, or a function from latents to its
-    Q-values (a learner's RowMemo over the target net).
+    ``q_target`` is the target net, or a learner's RowMemo over its
+    Q-values, which keys on the batch's next_obs_ids when it has them.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -336,8 +342,8 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
     """Critic TD step on clipped targets, then advantage-weighted actor step.
 
     Advantages are read from the pre-update critic and treated as constants
-    in the actor gradient.  ``critic_target`` is a net or a function from
-    latents to its Q-values, as in clipped_target.
+    in the actor gradient.  ``critic_target`` is a net or a RowMemo over its
+    Q-values, as in clipped_target.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -443,8 +449,9 @@ class QLearner(Learner):
     """Value learner: one online net plus a target net.
 
     The target net changes only in update_targets, so its values are
-    memoised per next-latent (``target_values``) and the memo is cleared
-    there.
+    memoised per next-observation id (per next-latent on a batch without
+    ids) in ``target_values``, cleared there.  A learner's batches come
+    through one encoder, so equal ids mean equal latents.
     """
 
     kind = "cdql"
@@ -488,7 +495,7 @@ class AdversarialKickstartLearner(QLearner):
     every index row (at the stored actions) are cached and refreshed exactly
     when the targets move; tests pin z_for_batch to an oracle that searches by
     a plain sort and runs the target net one row at a time.  Neighbour rows
-    are memoised per latent (see _neighbors).  train_batch is the one place
+    are memoised per observation id (see _neighbors).  train_batch is the one place
     that branches on ae_mode.  With lam == 0 the penalty machinery is skipped
     entirely and training steps are bit-for-bit vanilla.
     """
@@ -503,8 +510,8 @@ class AdversarialKickstartLearner(QLearner):
         if len(index) == 0:
             raise ValueError("cdql-ae needs a non-empty retrieval index")
         self.index = index
-        self._searched = RowTable()  # the latents knn_batch has searched, by id
-        self._neighbor_rows = np.empty((0, min(hp.k_neighbors, len(index))), dtype=np.int64)
+        self._neighbor_rows = np.full((0, min(hp.k_neighbors, len(index))), -1)
+        self._generation = None
         self._demo_q: np.ndarray | None = None
         self._refresh_demo_cache()
 
@@ -521,18 +528,23 @@ class AdversarialKickstartLearner(QLearner):
         self._refresh_demo_cache()
 
     def _neighbors(self, batch: ArrayBatch) -> np.ndarray:
-        """(B, k) neighbour rows of each batch latent, searched once per latent.
+        """(B, k) neighbour rows of each batch latent.
 
-        A latent's neighbours depend only on the fixed index and the latent
-        itself, so row i of ``_neighbor_rows`` holds those of latent i of
-        ``_searched``, and only latents not seen before go to knn_batch, each
-        once: at most the environment's number of distinct non-terminal
-        observations (63 on room-nav)."""
-        ids = self._searched.add_all(batch.latents)
-        searched = len(self._neighbor_rows)
-        if len(self._searched) > searched:
-            idx, _ = knn_batch(self.index, self._searched.rows[searched:], self.hp.k_neighbors)
-            self._neighbor_rows = np.concatenate([self._neighbor_rows, idx])
+        They depend only on the fixed index and the latent, so row i of
+        ``_neighbor_rows`` holds those of replay observation i (-1: not yet
+        searched), in the numbering ``_generation``, and only new ids go to
+        knn_batch, each once.  A batch without ids is searched afresh."""
+        ids = batch.obs_ids
+        if ids is None:
+            return knn_batch(self.index, batch.latents, self.hp.k_neighbors)[0]
+        if batch.generation is not self._generation:
+            self._neighbor_rows, self._generation = self._neighbor_rows[:0], batch.generation
+        self._neighbor_rows = grown(self._neighbor_rows, ids.max() + 1, -1)
+        missing = np.flatnonzero(self._neighbor_rows[ids, 0] < 0)
+        if len(missing):
+            fresh, first = np.unique(ids[missing], return_index=True)
+            self._neighbor_rows[fresh] = knn_batch(self.index, batch.latents[missing[first]],
+                                                   self.hp.k_neighbors)[0]
         return self._neighbor_rows[ids]
 
     def z_for_batch(self, batch: ArrayBatch, neighbor_idx: np.ndarray) -> np.ndarray:
@@ -567,7 +579,7 @@ class QDaggerLearner(QLearner):
     """Value learner with a distillation pull toward a cloned teacher.
 
     The teacher is frozen once cloned, so its probabilities are memoised
-    per latent for the whole run.
+    per observation id (or latent) for the whole run.
     """
 
     kind = "qdagger"
@@ -591,7 +603,7 @@ class QDaggerLearner(QLearner):
         targets = self.compute_targets(batch)
         acts = forward(self.q, batch.latents, work=self.opt)
         td_loss, td_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
-        p = self.teacher_probs(batch.latents)
+        p = self.teacher_probs(batch.latents, batch.obs_ids, batch.generation)
         d_value, d_rows = distill_loss_and_grad(p, acts.final,
                                                 self.hp.distill_temperature)
         total = descend(self.q, self.opt, acts, td_loss + self.hp.lam * d_value,

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration error or malformed input file,
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -112,8 +113,9 @@ def _cmd_train(args) -> int:
     if args.out_dir:
         cfg.out_dir = args.out_dir
     seeds = _int_list(args.seeds, "--seeds") if args.seeds is not None else [cfg.seed]
-    records = run_seeds(cfg, seeds, parallelism=args.parallel,
-                        verbose=not args.quiet)
+    if not args.quiet:  # train_run logs each evaluation
+        logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+    records = run_seeds(cfg, seeds, parallelism=args.parallel)
     for rec in records:
         final = rec.rows[-1]
         print(f"seed {rec.seed}: final mean_return={final.mean_return:.3f} "

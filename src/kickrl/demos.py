@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,18 +45,11 @@ class Transition:
     truncated: bool
     t: int
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # by value, observations included
         if not isinstance(other, Transition):
             return NotImplemented
-        return (
-            self.action == other.action
-            and self.reward == other.reward
-            and self.terminated == other.terminated
-            and self.truncated == other.truncated
-            and self.t == other.t
-            and np.array_equal(self.obs, other.obs)
-            and np.array_equal(self.next_obs, other.next_obs)
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass
@@ -66,14 +59,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.transitions)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return (
-            self.transitions == other.transitions
-            and self.episode_return == other.episode_return
-        )
 
 
 @dataclass
@@ -91,17 +76,6 @@ class DemoStore:
     def transitions(self):
         for traj in self.trajectories:
             yield from traj.transitions
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DemoStore):
-            return NotImplemented
-        return (
-            self.env_id == other.env_id
-            and self.encoder_id == other.encoder_id
-            and self.obs_dim == other.obs_dim
-            and self.action_count == other.action_count
-            and self.trajectories == other.trajectories
-        )
 
 
 def check_budget(store: DemoStore) -> None:
@@ -200,8 +174,9 @@ def _shared(key: bytes, shared: dict[bytes, np.ndarray], lineno: int = 0,
 
 def load_demos(path: str) -> DemoStore:
     """The store in ``path``.  Its transitions share one read-only array per
-    distinct observation: copy one before writing into it."""
-    records = read_records(path)
+    distinct observation, a view of the bytes read_records packed once per
+    distinct text: copy one before writing into it."""
+    records = read_records(path, packed=frozenset({"obs", "next_obs"}))
     _, header = next(records)
     if set(header) != _HEADER_FIELDS:
         missing = _HEADER_FIELDS - set(header)

@@ -11,6 +11,7 @@ deterministic contract holds.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -31,7 +32,7 @@ from .agents import (
     greedy_action,
     her_augment,
 )
-from .demos import Transition, load_demos
+from .demos import load_demos
 from .encoders import (
     Encoder,
     IdentityEncoder,
@@ -41,7 +42,7 @@ from .encoders import (
 )
 from .envs import GridWorldSpec, PRESETS, episode_success
 from .errors import ConfigError, FormatError
-from .nets import DenseNet, RowTable, net_from_arrays
+from .nets import DenseNet, RowMemo, RowTable, net_from_arrays
 from .retrieval import build_index
 from .seeding import spawn_rng, spawn_seed
 from .snapshots import load_arrays, meta_field, save_arrays
@@ -51,6 +52,7 @@ METRICS_HEADER = ("step,mean_return,std_return,success_rate,epsilon,"
 
 TEACHER_BC_LEARNING_RATE = 3e-4
 
+log = logging.getLogger("kickrl")
 
 TABLE_ROWS_PER_SLOT = 4  # replay table rows per slot before compacting, which frees half or more
 
@@ -63,7 +65,9 @@ class ReplayBuffer:
     the RowTable ``observations``.  Grid-world observations repeat (room-nav
     has 63 distinct ones), so it stays small.  Observations that never repeat
     grow it to at most ``TABLE_ROWS_PER_SLOT * capacity`` rows; it is then
-    compacted to the rows that live slots name."""
+    compacted to the rows that live slots name.  ``take`` memoises the
+    latents of the encoder it was last given by id, so that encoder must not
+    change while the buffer serves it."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -77,18 +81,20 @@ class ReplayBuffer:
         self.observations = RowTable(max_rows=TABLE_ROWS_PER_SLOT * capacity)
         self._size = 0
         self._cursor = 0
+        self._encoder = self._latents = None  # take's latent memo and its encoder
 
-    def push(self, tr: Transition) -> None:
+    def push(self, obs: np.ndarray, action: int, reward: float, next_obs: np.ndarray,
+             terminated: bool, truncated: bool) -> None:
         n = self._size
         if len(self.observations) + 2 > self.observations.max_rows:
             self._obs_ids[:n] = self.observations.compact(self._obs_ids[:n])[self._obs_ids[:n]]
         slot = self._cursor
-        self._obs_ids[slot, 0] = self.observations.add(tr.obs)
-        self._obs_ids[slot, 1] = self.observations.add(tr.next_obs)
-        self._action[slot] = tr.action
-        self._reward[slot] = tr.reward
-        self._terminated[slot] = tr.terminated
-        self._truncated[slot] = tr.truncated
+        self._obs_ids[slot, 0] = self.observations.add(obs)
+        self._obs_ids[slot, 1] = self.observations.add(next_obs)
+        self._action[slot] = action
+        self._reward[slot] = reward
+        self._terminated[slot] = terminated
+        self._truncated[slot] = truncated
         self._cursor = (slot + 1) % self.capacity
         self._size = min(n + 1, self.capacity)
 
@@ -97,14 +103,20 @@ class ReplayBuffer:
 
     def take(self, slots: np.ndarray, encoder: Encoder) -> ArrayBatch:
         """The transitions in ``slots`` as a new batch, bitwise equal to
-        ``ArrayBatch.from_transitions`` over the transitions pushed there."""
+        ``ArrayBatch.from_transitions`` over the transitions pushed there,
+        with their observation ids; rows are encoded only on a memo miss."""
+        if encoder is not self._encoder:  # the memo closes over locals: one on self is a cycle
+            observations, self._encoder = self.observations, encoder
+            self._latents = RowMemo(lambda ids: encoder.encode_batch(observations.rows[ids]))
+        ids, generation = self._obs_ids[slots], self.observations.generation
         return ArrayBatch(
-            latents=encoder.encode_batch(self.observations.rows[self._obs_ids[slots, 0]]),
+            latents=self._latents(ids[:, 0], ids[:, 0], generation),
             actions=self._action[slots],
             rewards=self._reward[slots],
-            next_latents=encoder.encode_batch(self.observations.rows[self._obs_ids[slots, 1]]),
+            next_latents=self._latents(ids[:, 1], ids[:, 1], generation),
             terminated=self._terminated[slots].astype(np.float64),
             truncated=self._truncated[slots].astype(np.float64),
+            obs_ids=ids[:, 0], next_obs_ids=ids[:, 1], generation=generation,
         )
 
 
@@ -350,11 +362,12 @@ def train_bc_policy(store, spec: GridWorldSpec, encoder: Encoder, hp: Hyperparam
 # -- the training loop -----------------------------------------------------------
 
 
-def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
+def train_run(cfg: RunConfig) -> RunRecord:
     """Execute one seeded training run and write its artifacts.
 
     Writes ``metrics.csv`` (bitwise-deterministic), ``summary.json``
-    (includes wall-clock times), and a parameter snapshot into cfg.out_dir.
+    (includes wall-clock times), and a parameter snapshot into cfg.out_dir,
+    and logs each evaluation at INFO on the ``kickrl`` logger.
     The loop is the same for every agent kind: the learner's attributes
     (see agents.Learner) say what to load, how each tick trains, and which
     parameters to keep.
@@ -387,7 +400,7 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
     buffer = ReplayBuffer(hp.buffer_capacity)
     if learner.preloads_demos:
         for tr in store.transitions():  # replay mixes demos and fresh data
-            buffer.push(tr)
+            buffer.push(tr.obs, tr.action, tr.reward, tr.next_obs, tr.terminated, tr.truncated)
     demo: ArrayBatch | None = None  # the demo store as one batch, built when first needed
 
     act_rng = spawn_rng(cfg.seed, "act")
@@ -409,11 +422,7 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
             episode_idx += 1
         action = action_of(encoder.encode(obs))
         res = envs.step(spec, state, action)
-        buffer.push(Transition(
-            obs=obs, action=action, reward=res.reward,
-            next_obs=res.observation, terminated=res.terminated,
-            truncated=res.truncated, t=state.t - 1,
-        ))
+        buffer.push(obs, action, res.reward, res.observation, res.terminated, res.truncated)
         obs = res.observation
         interaction_steps += 1
 
@@ -441,10 +450,8 @@ def train_run(cfg: RunConfig, verbose: bool = False) -> RunRecord:
                 losses=last_losses,
                 wall_secs=time.perf_counter() - t_start,
             ))
-            if verbose:
-                print(f"[{cfg.agent} seed={cfg.seed}] step {tick}: "
-                      f"mean_return={result.mean_return:.3f} "
-                      f"success={result.success_rate:.2f}")
+            log.info("[%s seed=%s] step %d: mean_return=%.3f success=%.2f", cfg.agent,
+                     cfg.seed, tick, result.mean_return, result.success_rate)
             if learner.keeps_best:
                 learner.evaluated(result.mean_return)
         if tick == total:
@@ -548,8 +555,7 @@ def load_policy_snapshot(path: str):
 # -- multi-seed orchestration -------------------------------------------------------
 
 
-def run_seeds(cfg: RunConfig, seeds: list[int], parallelism: int = 1,
-              verbose: bool = False) -> list[RunRecord]:
+def run_seeds(cfg: RunConfig, seeds: list[int], parallelism: int = 1) -> list[RunRecord]:
     """Launch one run per seed; workers share only read-only inputs and
     write to disjoint per-seed directories, so a seed may not repeat."""
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
@@ -560,7 +566,7 @@ def run_seeds(cfg: RunConfig, seeds: list[int], parallelism: int = 1,
         for s in seeds
     ]
     if parallelism <= 1 or len(configs) == 1:
-        return [train_run(c, verbose=verbose) for c in configs]
+        return [train_run(c) for c in configs]
     with multiprocessing.get_context("fork").Pool(min(parallelism, len(configs))) as pool:
         return pool.map(train_run, configs)
 

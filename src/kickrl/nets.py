@@ -214,7 +214,7 @@ def forward_values_gathered(net: DenseNet, rows: np.ndarray, ids: np.ndarray) ->
 
 class RowMemo:
     """The output rows of a function that does not change while the memo
-    lives, keyed by the bytes of each input row.
+    lives, keyed by the bytes of each input row, or by ids.
 
     A batch whose rows are all known is answered from the memo; otherwise the
     whole batch goes to ``fn``, exactly the call an unmemoised caller makes,
@@ -226,13 +226,22 @@ class RowMemo:
     forward_values_gathered relies on; the memo keys by the whole count, which
     is safe on any build.  ``clear`` must be called whenever ``fn`` changes.
     There is no size cap: callers feed grid worlds, whose inputs repeat.
+
+    With ``ids`` (the rows' ids in the RowTable numbering ``generation``)
+    the memo keys on them, and a known batch is one gather: equal ids must
+    mean equal rows, and ``batch`` only goes to ``fn``.  A new generation
+    starts the id entries over, so no stale id is read.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self._rows: dict[int, dict[bytes, np.ndarray]] = {}
+        self._ids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # (known, rows), by id
+        self._generation = None
 
-    def __call__(self, batch: np.ndarray) -> np.ndarray:
+    def __call__(self, batch, ids: np.ndarray | None = None, generation=None) -> np.ndarray:
+        if ids is not None:
+            return self._by_id(batch, ids, generation)
         x = np.ascontiguousarray(batch, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError(f"expected a batch matrix, got ndim={x.ndim}")
@@ -253,8 +262,37 @@ class RowMemo:
                 known[key] = value.copy()
         return out
 
+    def _by_id(self, batch, ids: np.ndarray, generation) -> np.ndarray:
+        if generation is not self._generation:
+            self._ids.clear()
+            self._generation = generation
+        known, rows = self._ids.get(len(ids), (None, None))
+        if known is not None and len(ids) and ids.max() < len(known) and known[ids].all():
+            return rows[ids]  # a new array: callers may write to it
+        out = self.fn(batch)
+        fresh, first = np.unique(ids, return_index=True)  # each id's first row, as by bytes
+        if known is None:
+            known, rows = np.zeros(0, dtype=bool), np.empty((0,) + out.shape[1:], out.dtype)
+        known = grown(known, len(fresh) and fresh[-1] + 1, False)
+        rows = grown(rows, len(known), 0)
+        new = ~known[fresh]
+        rows[fresh[new]], known[fresh[new]] = out[first[new]], True
+        self._ids[len(ids)] = known, rows
+        return out
+
     def clear(self) -> None:
         self._rows.clear()
+        self._ids.clear()
+
+
+def grown(table: np.ndarray, n: int, fill) -> np.ndarray:
+    """``table`` if it has ``n`` rows, else a copy with at least 64 and twice
+    as many (as RowTable grows), the new ones set to ``fill``."""
+    if len(table) >= n:
+        return table
+    out = np.full((max(n, 2 * len(table), 64),) + table.shape[1:], fill, dtype=table.dtype)
+    out[:len(table)] = table
+    return out
 
 
 class RowTable:
@@ -263,13 +301,15 @@ class RowTable:
     past it is an OverflowError: compact first).  Rows are told apart by their
     bytes, so 0.0 and -0.0 are two rows; np.unique(axis=0) is ~30x slower on
     128-wide grid rows.  An add equal to the previous one reuses its key, whose
-    hash is cached: a transition's obs is the previous one's next_obs."""
+    hash is cached: a transition's obs is the previous one's next_obs.
+    ``compact`` renumbers the rows and makes a new ``generation``."""
 
     def __init__(self, max_rows: int = sys.maxsize):
         self.max_rows = max_rows
         self._buf: np.ndarray | None = None
         self._ids: dict[bytes, int] = {}
         self._last = b""
+        self.generation = object()
 
     def add(self, row) -> int:
         """The id of a row, added if it is new."""
@@ -320,6 +360,7 @@ class RowTable:
         renumber[kept] = np.arange(len(kept))
         self.rows[:len(kept)] = self.rows[kept]
         self._ids = {key: int(renumber[i]) for key, i in self._ids.items() if renumber[i] >= 0}
+        self.generation = object()
         return renumber
 
 
@@ -470,59 +511,3 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     for t, o in zip(tps, ops):
         t *= 1.0 - tau
         t += tau * o
-
-
-@dataclass
-class GradCheckReport:
-    per_param: dict[str, float]
-    max_relative_error: float
-    tolerance: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.passed = self.max_relative_error <= self.tolerance
-
-
-FD_PERTURBATION = 1e-5
-
-
-def grad_check(net, loss_procedure, tolerance: float) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    `loss_procedure(net)` must return (loss, grads) with grads aligned with
-    ``net.param_arrays()`` and must be deterministic; any stochastic node has
-    to run on frozen noise.  Perturbation is 1e-5, central differences.
-    """
-    loss_a, grads = loss_procedure(net)
-    loss_b, _ = loss_procedure(net)
-    if loss_a != loss_b:
-        raise RuntimeError(
-            "loss_procedure is not deterministic: two evaluations differ "
-            f"({loss_a!r} vs {loss_b!r})"
-        )
-    params = net.param_arrays()
-    names = net.param_names()
-    if len(grads) != len(params):
-        raise ShapeError("loss_procedure returned misaligned gradients")
-    h = FD_PERTURBATION
-    per_param: dict[str, float] = {}
-    for name, p, g in zip(names, params, grads):
-        worst = 0.0
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up, _ = loss_procedure(net)
-            flat[j] = orig - h
-            down, _ = loss_procedure(net)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(numeric), abs(gflat[j]), 1e-8)
-            worst = max(worst, abs(numeric - gflat[j]) / denom)
-        per_param[name] = worst
-    return GradCheckReport(
-        per_param=per_param,
-        max_relative_error=max(per_param.values()) if per_param else 0.0,
-        tolerance=tolerance,
-    )

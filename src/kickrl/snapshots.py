@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from collections.abc import Iterable, Iterator
 from typing import TextIO
@@ -26,6 +27,8 @@ from .errors import FormatError
 
 FORMAT_VERSION = 1
 _PIECE = 4096  # the most array values a writer holds as Python floats and text at once
+_FLAT_LIST = re.compile(r"\[[-+.0-9eE \t\n\r,]*\]")  # a list of number characters only
+_HOLE = "@"  # a cut list's mark in a line's skeleton; valid JSON only inside a string
 
 
 def write_records(path: str, header: dict, records: Iterable[dict]) -> None:
@@ -91,17 +94,22 @@ def _write_pieces(fh: TextIO, arr: np.ndarray) -> None:
     fh.write("]")
 
 
-def read_records(path: str) -> Iterator[tuple[int, dict]]:
+def read_records(path: str, packed: frozenset = frozenset()) -> Iterator[tuple[int, dict]]:
     """(line number, object) for the header and then each record, parsed one
     line at a time.  A missing header, a blank line, invalid JSON or a line
-    that is not a JSON object is a FormatError naming its line."""
+    that is not a JSON object is a FormatError naming its line.  An object is
+    ``json.loads`` of its line, but, as the writer encodes them, top-level
+    lists of at most ``_PIECE`` numbers are decoded once per distinct text in
+    the file and shared (do not write into them), packed under a key in
+    ``packed`` (``pack_floats``)."""
+    lists: dict[tuple[bool, str], list | bytes] = {}
     lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 raise FormatError(f"line {lineno}: blank line")
             try:
-                obj = json.loads(raw)
+                obj = _parsed(raw, lists, packed)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"line {lineno}: not valid JSON ({exc})") from None
             if not isinstance(obj, dict):
@@ -109,6 +117,41 @@ def read_records(path: str) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
     if lineno == 0:
         raise FormatError("line 1: missing header")
+
+
+def _parsed(raw: str, lists: dict, packed: frozenset):
+    """``json.loads(raw)``: the flat lists of numbers are cut out, leaving
+    holes, and the skeleton is parsed.  A hole cut from a string breaks the
+    parse, and one from a nested value or under a repeated key is missing at
+    the top level; then, or if the line holds the mark or an escape that
+    could spell it, the whole line is parsed.  So is a line too long to cut
+    cheaply: a snapshot line of a large array."""
+    texts: list[str] = []
+
+    def cut(match: re.Match) -> str:
+        text = match.group()
+        if len(text) > 2 * _PIECE and text.count(",") >= _PIECE:
+            return text  # a larger array is parsed in place
+        texts.append(text)
+        return f'"{_HOLE}{len(texts) - 1}"'
+
+    plain = _HOLE in raw or "\\" in raw or len(raw) > 64 * _PIECE  # a long line holds an array
+    skeleton = raw if plain else _FLAT_LIST.sub(cut, raw)
+    try:
+        obj = json.loads(skeleton) if texts else None
+        holes = {key: texts[int(value[1:])] for key, value in obj.items()
+                 if type(value) is str and value[:1] == _HOLE} if type(obj) is dict else {}
+        if holes and len(holes) == len(texts):
+            for key, text in holes.items():
+                memo = (key in packed, text)
+                if memo not in lists:
+                    value = json.loads(text)
+                    lists[memo] = pack_floats(value) if key in packed else value
+                obj[key] = lists[memo]
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(raw)
 
 
 def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -144,14 +187,21 @@ def field_number(value, lineno: int, name: str) -> float:
         raise FormatError(f"line {lineno}: {name} is an integer beyond the float range") from None
 
 
+def pack_floats(values: list) -> bytes | list:
+    """The float64 bytes of a list of numbers, else the list itself."""
+    try:
+        return struct.pack(f"{len(values)}d", *values)
+    except struct.error:
+        return values
+
+
 def field_float_bytes(value, lineno: int, name: str) -> bytes:
-    """The float64 bytes of a JSON list of numbers; anything else (a string
-    or a nested list among them, or no list at all) is a FormatError."""
-    if isinstance(value, list):
-        try:
-            return struct.pack(f"{len(value)}d", *value)
-        except struct.error:
-            pass
+    """The float64 bytes of a JSON list of numbers (or read_records' packing);
+    anything else (a string or a nested list among them, or no list at all)
+    is a FormatError."""
+    value = pack_floats(value) if isinstance(value, list) else value
+    if type(value) is bytes:
+        return value
     raise FormatError(f"line {lineno}: {name} is not a list of numbers")
 
 
@@ -166,7 +216,7 @@ def meta_field(meta: dict, name: str, kind: type):
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    records = read_records(path)
+    records = read_records(path, packed=frozenset({"data"}))
     _, header = next(records)
     if header.get("format_version") != FORMAT_VERSION or header.get("kind") != "named-arrays":
         raise FormatError("line 1: not a named-array snapshot")

@@ -52,7 +52,7 @@ def four_rooms_vae(four_rooms_spec):
 
 
 MARKED_FILES = {"test_acceptance.py": pytest.mark.acceptance, "test_golden.py": pytest.mark.golden,
-                "test_memory.py": pytest.mark.memory}
+                "test_memory.py": pytest.mark.memory, "test_snapshots.py": pytest.mark.formats}
 
 
 def pytest_collection_modifyitems(items):

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from kickrl import agents, demos, encoders, envs, harness, nets, retrieval
-from kickrl.demos import Transition
-from kickrl.nets import forward, grad_check, mlp
+from kickrl.nets import forward, mlp
 from kickrl.seeding import spawn_rng
+
+from gradcheck import grad_check
 
 SPEEDUP_TOTAL_STEPS = 100_000
 SPEEDUP_SEEDS = [1, 2, 3, 4, 5]
@@ -368,10 +369,9 @@ def test_her_composition_exact() -> None:
     rng = np.random.default_rng(16)
     buffer = harness.ReplayBuffer(capacity=200)
     for i in range(120):
-        buffer.push(Transition(
-            obs=rng.standard_normal(4), action=int(rng.integers(0, 4)),
-            reward=float(rng.standard_normal()), next_obs=rng.standard_normal(4),
-            terminated=False, truncated=False, t=i))
+        buffer.push(obs=rng.standard_normal(4), action=int(rng.integers(0, 4)),
+                    reward=float(rng.standard_normal()), next_obs=rng.standard_normal(4),
+                    terminated=False, truncated=False)
     encoder = encoders.IdentityEncoder(4)
     sample_rng, her_rng = spawn_rng(17, "s"), spawn_rng(18, "h")
     out = harness.replay_batch(buffer, 32, sample_rng, encoder, 16, her_rng)
@@ -381,8 +381,11 @@ def test_her_composition_exact() -> None:
     sources = buffer.take(agents.her_augment(np.arange(0), len(buffer), 16, ref_her_rng),
                           encoder)
     for name, values in vars(out).items():
+        if name == "generation":  # the replay table's numbering, one per batch
+            assert values is originals.generation is sources.generation
+            continue
         assert values[:32].tobytes() == getattr(originals, name).tobytes(), name
-        if name in ("latents", "actions", "next_latents"):
+        if name in ("latents", "actions", "next_latents", "obs_ids", "next_obs_ids"):
             assert values[32:].tobytes() == getattr(sources, name).tobytes(), name
     assert np.all(out.rewards[32:] == 1.0)
     assert np.all(out.terminated[32:] == 1.0) and np.all(out.truncated[32:] == 0.0)

@@ -74,5 +74,5 @@ def test_memoised_neighbors_equal_a_fresh_search_on_vae_latents(
                                 "target-shaping", encoder_spec=f"vae:{vae_path}"))
     [learner] = learners
     assert len(batches) > 50
-    # far fewer latents searched than rows queried: the memo is in use
-    assert 0 < len(learner._searched) < sum(batches) // 4
+    # far fewer observations searched than rows queried: the memo is in use
+    assert 0 < np.count_nonzero(learner._neighbor_rows[:, 0] >= 0) < sum(batches) // 4

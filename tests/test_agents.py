@@ -9,10 +9,11 @@ import pytest
 import scipy.stats
 
 from kickrl import agents, demos, envs, harness, nets, retrieval
-from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder
-from kickrl.nets import forward, forward_values, grad_check, mlp
+from kickrl.nets import forward, forward_values, mlp
 from kickrl.seeding import spawn_rng
+
+from gradcheck import grad_check
 
 
 def constant_qnet(biases) -> nets.DenseNet:
@@ -557,10 +558,9 @@ def test_awac_actor_gradient_matches_finite_differences() -> None:
 def _filled_buffer(rng, n=50) -> harness.ReplayBuffer:
     buffer = harness.ReplayBuffer(capacity=100)
     for i in range(n):
-        buffer.push(Transition(
-            obs=rng.standard_normal(3), action=int(rng.integers(0, 4)),
-            reward=float(rng.standard_normal()), next_obs=rng.standard_normal(3),
-            terminated=False, truncated=bool(i % 7 == 0), t=i))
+        buffer.push(obs=rng.standard_normal(3), action=int(rng.integers(0, 4)),
+                    reward=float(rng.standard_normal()), next_obs=rng.standard_normal(3),
+                    terminated=False, truncated=bool(i % 7 == 0))
     return buffer
 
 

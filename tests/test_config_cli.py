@@ -173,6 +173,7 @@ def run_configs(draw) -> harness.RunConfig:
         eval_episodes=draw(ints))
 
 
+@pytest.mark.formats
 @given(cfg=run_configs())
 @settings(max_examples=150, deadline=None)
 def test_a_config_reads_back_from_its_text(cfg) -> None:
@@ -215,6 +216,7 @@ def load_or_config_error(text: str) -> None:
         pass
 
 
+@pytest.mark.formats
 @pytest.mark.parametrize("key", CONFIG_KEYS, ids=[name for _, name in CONFIG_KEYS])
 def test_a_listed_bad_value_loads_or_is_a_config_error(room_store_path, key) -> None:
     """Each value of BAD_VALUES for one key, on each preset and a kind with
@@ -234,6 +236,7 @@ def test_a_listed_bad_value_loads_or_is_a_config_error(room_store_path, key) -> 
                     load_or_config_error(text)
 
 
+@pytest.mark.formats
 @given(agent=st.sampled_from(agents.AGENT_KINDS), env=st.sampled_from(sorted(envs.PRESETS)),
        key=st.sampled_from(CONFIG_KEYS),
        value=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=10))
@@ -567,6 +570,7 @@ BAD_SUMMARIES = {
 }
 
 
+@pytest.mark.formats
 def test_a_well_formed_run_summary_loads(tmp_path) -> None:
     from kickrl import harness
 
@@ -576,6 +580,7 @@ def test_a_well_formed_run_summary_loads(tmp_path) -> None:
     assert (summary.steps, summary.mean_returns) == ([0, 500], [0.0, 1])
 
 
+@pytest.mark.formats
 @pytest.mark.parametrize("command", ["report", "compare"])
 @pytest.mark.parametrize("text, message", BAD_SUMMARIES.values(), ids=BAD_SUMMARIES)
 def test_a_malformed_run_summary_exits_with_a_format_error(tmp_path, capsys, command, text,

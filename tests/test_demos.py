@@ -68,6 +68,7 @@ def test_store_records_env_and_dims(room_spec) -> None:
 # -- persistence -----------------------------------------------------------------
 
 
+@pytest.mark.formats
 def test_save_load_round_trip(room_store, tmp_path) -> None:
     path = str(tmp_path / "a.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -81,6 +82,7 @@ def test_loaded_store_is_self_describing(room_store_path) -> None:
     assert store.total_transitions == sum(len(t) for t in store.trajectories)
 
 
+@pytest.mark.formats
 def test_empty_store_round_trips(tmp_path) -> None:
     empty = demos.DemoStore(env_id="none", encoder_id="raw", obs_dim=4,
                             action_count=2, trajectories=[])
@@ -91,6 +93,7 @@ def test_empty_store_round_trips(tmp_path) -> None:
     assert demos.load_demos(path) == empty
 
 
+@pytest.mark.formats
 def test_truncated_file_is_a_format_error(room_store, tmp_path) -> None:
     path = str(tmp_path / "cut.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -101,6 +104,7 @@ def test_truncated_file_is_a_format_error(room_store, tmp_path) -> None:
         demos.load_demos(path)
 
 
+@pytest.mark.formats
 def test_missing_field_error_names_the_line(room_store, tmp_path) -> None:
     path = str(tmp_path / "broken.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -114,6 +118,7 @@ def test_missing_field_error_names_the_line(room_store, tmp_path) -> None:
         demos.load_demos(path)
 
 
+@pytest.mark.formats
 def test_extra_field_is_a_format_error(room_store, tmp_path) -> None:
     path = str(tmp_path / "extra.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -127,6 +132,7 @@ def test_extra_field_is_a_format_error(room_store, tmp_path) -> None:
         demos.load_demos(path)
 
 
+@pytest.mark.formats
 def test_version_mismatch_is_rejected(room_store, tmp_path) -> None:
     path = str(tmp_path / "version.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -140,6 +146,7 @@ def test_version_mismatch_is_rejected(room_store, tmp_path) -> None:
         demos.load_demos(path)
 
 
+@pytest.mark.formats
 def test_dimension_inconsistency_is_rejected(room_store, tmp_path) -> None:
     path = str(tmp_path / "dims.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -181,6 +188,7 @@ def _negative_infinity_reward(row):
     row["reward"] = -float("inf")
 
 
+@pytest.mark.formats
 @pytest.mark.parametrize("corrupt", [_traj_as_string, _string_in_obs, _nested_list_in_obs,
                                      _nan_in_obs, _infinity_in_next_obs, _nan_reward,
                                      _negative_infinity_reward])
@@ -198,6 +206,7 @@ def test_bad_field_value_is_a_format_error_naming_the_line(room_store, tmp_path,
         demos.load_demos(path)
 
 
+@pytest.mark.formats
 def test_action_out_of_bounds_is_rejected(room_store, tmp_path) -> None:
     path = str(tmp_path / "act.demos.jsonl")
     demos.save_demos(room_store, path)
@@ -223,6 +232,7 @@ def _rewrite_line(room_store, tmp_path, index: int, field: str, value) -> str:
     return path
 
 
+@pytest.mark.formats
 @pytest.mark.parametrize("field, value, message", [
     ("t", 7, "^line 4: trajectory 0 has 5 transitions, so t 7 is outside 0..4$"),
     ("t", -1, "^line 4: trajectory 0 has 5 transitions, so t -1 is outside 0..4$"),
@@ -237,6 +247,7 @@ def test_trajectory_order_errors_name_the_line(room_store, tmp_path, field, valu
         demos.load_demos(_rewrite_line(room_store, tmp_path, 3, field, value))
 
 
+@pytest.mark.formats
 def test_a_reward_beyond_the_float_range_is_a_format_error(room_store, tmp_path) -> None:
     with pytest.raises(FormatError, match="^line 4: reward "):
         demos.load_demos(_rewrite_line(room_store, tmp_path, 3, "reward", 10**400))
@@ -269,6 +280,7 @@ def _stores(draw) -> DemoStore:
                      trajectories=trajectories)
 
 
+@pytest.mark.formats
 @_property_settings
 @given(store=_stores())
 def test_stores_with_edge_values_load_back_bit_exactly(tmp_path, store) -> None:
@@ -289,6 +301,7 @@ _any_value = st.one_of(_numbers, st.none(), st.booleans(), st.text(max_size=3),
                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
 
+@pytest.mark.formats
 @_property_settings
 @given(data=st.data())
 def test_a_single_field_mutation_loads_or_is_a_format_error_naming_a_line(tmp_path,
@@ -317,6 +330,7 @@ def test_a_single_field_mutation_loads_or_is_a_format_error_naming_a_line(tmp_pa
         assert re.match(r"line \d+: ", str(exc)), str(exc)
 
 
+@pytest.mark.formats
 def test_rewards_preserved_exactly_through_round_trip(tmp_path) -> None:
     # collect-grid rewards are not exactly representable decimals; the JSON
     # round trip must still be bit-exact
@@ -390,6 +404,7 @@ def _edge_store():
                      trajectories=trajectories)
 
 
+@pytest.mark.formats
 @pytest.mark.parametrize("make_store", [
     lambda: _bench_store(envs.make_room_nav), lambda: _bench_store(envs.make_four_rooms),
     _empty_store, _edge_store,
@@ -402,6 +417,7 @@ def test_save_demos_writes_the_reference_bytes(make_store, tmp_path) -> None:
             == (tmp_path / "reference.demos.jsonl").read_bytes())
 
 
+@pytest.mark.formats
 def test_loaded_store_shares_one_read_only_array_per_distinct_observation(tmp_path) -> None:
     path = str(tmp_path / "room.demos.jsonl")
     demos.save_demos(_bench_store(envs.make_room_nav), path)
@@ -413,6 +429,7 @@ def test_loaded_store_shares_one_read_only_array_per_distinct_observation(tmp_pa
         next(store.transitions()).obs[0] = 1.0
 
 
+@pytest.mark.formats
 def test_zeros_of_either_sign_load_as_different_arrays(tmp_path) -> None:
     path = str(tmp_path / "edges.demos.jsonl")
     demos.save_demos(_edge_store(), path)

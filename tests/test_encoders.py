@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from kickrl import encoders, envs, nets
 from kickrl.errors import FormatError, ShapeError
 
+from gradcheck import grad_check
+
+
 CFG = encoders.VaeTrainConfig()
 
 
@@ -151,8 +154,8 @@ def test_vae_gradients_match_finite_differences_with_frozen_noise() -> None:
         parts, _, dec_grads = encoders.vae_loss_and_grads(vae, batch, beta, noise)
         return parts.total, dec_grads
 
-    assert nets.grad_check(vae.enc_net, enc_loss, tolerance=1e-3).passed
-    assert nets.grad_check(vae.dec_net, dec_loss, tolerance=1e-3).passed
+    assert grad_check(vae.enc_net, enc_loss, tolerance=1e-3).passed
+    assert grad_check(vae.dec_net, dec_loss, tolerance=1e-3).passed
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -368,6 +371,7 @@ def _bytes_of(enc: encoders.Encoder):
     return {name: (arr.shape, arr.tobytes()) for name, arr in arrays.items()}, meta
 
 
+@pytest.mark.formats
 @_property_settings
 @given(enc=_encoders())
 def test_encoders_with_edge_values_load_back_bit_exactly(tmp_path, enc) -> None:
@@ -433,6 +437,7 @@ def _mutate(data, record):
     return record
 
 
+@pytest.mark.formats
 @_property_settings
 @given(data=st.data())
 def test_a_single_field_mutation_loads_or_is_a_format_error_naming_a_line(tmp_path,

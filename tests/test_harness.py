@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from kickrl import agents, demos, envs, harness, nets
-from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder
 from kickrl.errors import ConfigError
 from kickrl.seeding import spawn_rng, spawn_seed
 
 
-def _tr(i: int) -> Transition:
-    return Transition(obs=np.array([float(i)]), action=0, reward=float(i),
-                      next_obs=np.array([float(i + 1)]), terminated=False,
-                      truncated=False, t=i)
+def _tr(i: int) -> tuple:
+    """The fields ReplayBuffer.push takes: obs, action, reward (i), next_obs,
+    terminated, truncated."""
+    return np.array([float(i)]), 0, float(i), np.array([float(i + 1)]), False, False
 
 
 def tiny_cfg(tmp_path, agent="cdql", total=1200, seed=1, demo_path=None,
@@ -42,7 +41,7 @@ def _rewards(buffer: harness.ReplayBuffer) -> list[float]:
 def test_buffer_evicts_oldest_first() -> None:
     buffer = harness.ReplayBuffer(capacity=3)
     for i in range(4):
-        buffer.push(_tr(i))
+        buffer.push(*_tr(i))
     assert sorted(_rewards(buffer)) == [1.0, 2.0, 3.0]
     assert len(buffer) == 3
 
@@ -50,14 +49,14 @@ def test_buffer_evicts_oldest_first() -> None:
 def test_buffer_holds_exactly_last_capacity_after_overflow() -> None:
     buffer = harness.ReplayBuffer(capacity=5)
     for i in range(12):
-        buffer.push(_tr(i))
+        buffer.push(*_tr(i))
     assert sorted(_rewards(buffer)) == [float(i) for i in range(7, 12)]
 
 
 def test_sample_returns_requested_batch_size() -> None:
     buffer = harness.ReplayBuffer(capacity=10)
     for i in range(4):
-        buffer.push(_tr(i))
+        buffer.push(*_tr(i))
     slots = harness.replay_sample(buffer, 32, spawn_rng(0, "s"))
     assert slots.shape == (32,) and slots.dtype == np.int64  # with replacement
     assert set(slots.tolist()) <= {0, 1, 2, 3}
@@ -66,7 +65,7 @@ def test_sample_returns_requested_batch_size() -> None:
 def test_sample_is_deterministic_given_rng_state() -> None:
     buffer = harness.ReplayBuffer(capacity=10)
     for i in range(10):
-        buffer.push(_tr(i))
+        buffer.push(*_tr(i))
     a = harness.replay_sample(buffer, 8, spawn_rng(1, "s"))
     b = harness.replay_sample(buffer, 8, spawn_rng(1, "s"))
     assert np.array_equal(a, b)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from kickrl import agents, demos, encoders, envs, harness, nets, snapshots
-from kickrl.demos import Transition
 from kickrl.retrieval import LatentIndex
 from kickrl.seeding import spawn_seed
 
@@ -79,7 +78,7 @@ def test_forward_values_holds_one_layer_output_at_a_time() -> None:
 @pytest.mark.parametrize("make_spec", [envs.make_room_nav, envs.make_four_rooms])
 def test_replay_holds_under_one_and_a_half_mb_after_3000_pushes(make_spec) -> None:
     """3,000 random-policy steps pushed as the training loop pushes them: each
-    step's Transition and observation arrays are new."""
+    step's observation arrays are new."""
     spec = make_spec()
     rng = np.random.default_rng(1)
     actions = rng.integers(0, spec.action_count, 3000)
@@ -92,9 +91,8 @@ def test_replay_holds_under_one_and_a_half_mb_after_3000_pushes(make_spec) -> No
                 state, obs = envs.reset(spec, spawn_seed(1, "episode", episode))
                 episode += 1
             res = envs.step(spec, state, action)
-            buffer.push(Transition(obs=obs, action=action, reward=res.reward,
-                                   next_obs=res.observation, terminated=res.terminated,
-                                   truncated=res.truncated, t=state.t - 1))
+            buffer.push(obs, action, res.reward, res.observation, res.terminated,
+                        res.truncated)
             obs = res.observation
         held, _ = tracemalloc.get_traced_memory()
     finally:

@@ -9,6 +9,8 @@ from kickrl import nets
 from kickrl.errors import ShapeError
 from kickrl.seeding import spawn_rng
 
+from gradcheck import GradCheckReport, grad_check
+
 
 def small_net(seed: int, dims=None, activations=None) -> nets.DenseNet:
     rng = np.random.default_rng(seed)
@@ -103,7 +105,7 @@ def test_backward_matches_finite_differences_on_random_nets(seed: int) -> None:
         grads, _ = nets.backward(n, acts, 2.0 * per_sample)
         return loss, grads
 
-    report = nets.grad_check(net, loss_proc, tolerance=1e-4)
+    report = grad_check(net, loss_proc, tolerance=1e-4)
     assert report.passed, report.per_param
 
 
@@ -254,7 +256,7 @@ def test_grad_check_passes_on_correct_td_gradients() -> None:
     proc = _td_like_loss(rng.standard_normal((6, 4)),
                          rng.integers(0, 3, size=6),
                          rng.standard_normal(6))
-    report = nets.grad_check(net, proc, tolerance=1e-4)
+    report = grad_check(net, proc, tolerance=1e-4)
     assert report.passed
     assert report.max_relative_error <= 1e-4
 
@@ -272,7 +274,7 @@ def test_grad_check_fails_on_corrupted_gradient() -> None:
         grads[0][0, 0] *= 2.0
         return loss, grads
 
-    assert not nets.grad_check(net, corrupted, tolerance=1e-4).passed
+    assert not grad_check(net, corrupted, tolerance=1e-4).passed
 
 
 def test_grad_check_detects_nondeterministic_loss() -> None:
@@ -286,14 +288,14 @@ def test_grad_check_detects_nondeterministic_loss() -> None:
         return loss, grads
 
     with pytest.raises(RuntimeError, match="not deterministic"):
-        nets.grad_check(net, noisy, tolerance=1e-4)
+        grad_check(net, noisy, tolerance=1e-4)
 
 
 def test_grad_check_report_pass_flag_tracks_tolerance() -> None:
-    report = nets.GradCheckReport(per_param={"w": 5e-4}, max_relative_error=5e-4,
+    report = GradCheckReport(per_param={"w": 5e-4}, max_relative_error=5e-4,
                                   tolerance=1e-4)
     assert not report.passed
-    report2 = nets.GradCheckReport(per_param={"w": 5e-5}, max_relative_error=5e-5,
+    report2 = GradCheckReport(per_param={"w": 5e-5}, max_relative_error=5e-5,
                                    tolerance=1e-4)
     assert report2.passed
 
@@ -490,6 +492,25 @@ def test_row_memo_clear_drops_every_row() -> None:
     assert np.array_equal(memo(batch), nets.forward(net, batch).final)
 
 
+def test_row_memo_by_id_gathers_known_ids_and_starts_over_on_a_new_generation() -> None:
+    """Keyed by ids, a batch whose ids are all known is a gather with no call
+    to fn; a new generation renumbers the rows, so the old entries go."""
+    net = small_net(81)
+    fn, calls = counted(net)
+    memo = nets.RowMemo(fn)
+    rows = np.random.default_rng(82).standard_normal((4, 4))
+    first, second = object(), object()
+    ids = np.array([2, 0, 2])
+    assert np.array_equal(memo(rows[ids], ids, first), nets.forward(net, rows[ids]).final)
+    assert np.array_equal(memo(rows[[0, 2, 0]], np.array([0, 2, 0]), first),
+                          nets.forward(net, rows[[0, 2, 0]]).final)
+    assert calls == [3]
+    renumbered = rows[[3, 1, 0, 2]]  # what was row 2 is now row 3
+    assert np.array_equal(memo(renumbered[ids], ids, second),
+                          nets.forward(net, renumbered[ids]).final)
+    assert calls == [3, 3]
+
+
 # -- RowTable -----------------------------------------------------------------------
 
 ROWS = st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=3, max_size=3)
@@ -643,7 +664,7 @@ def test_grad_check_passes_after_a_buffered_step_on_the_same_net() -> None:
     acts = nets.forward(net, x, work=opt)
     grads, _ = nets.backward(net, acts, rng.standard_normal((6, 3)), work=opt)
     nets.adam_step(net.param_arrays(), grads, opt)
-    assert nets.grad_check(net, _td_like_loss(x, actions, targets), tolerance=1e-4).passed
+    assert grad_check(net, _td_like_loss(x, actions, targets), tolerance=1e-4).passed
 
 
 def test_rows_grow_for_a_larger_batch_and_slice_for_a_smaller_one() -> None:

@@ -14,10 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kickrl import envs, harness
-from kickrl.agents import ArrayBatch
+from kickrl import envs, harness, retrieval
+from kickrl.agents import AdversarialKickstartLearner, ArrayBatch, Hyperparams
 from kickrl.demos import Transition
 from kickrl.encoders import IdentityEncoder, new_vae
+from kickrl.nets import forward_values
 from kickrl.seeding import spawn_rng, spawn_seed
 
 
@@ -85,19 +86,34 @@ def continuous_transitions(n: int, seed: int, dim: int = 5) -> list[Transition]:
     return out
 
 
-def assert_batches_equal(a: ArrayBatch, b: ArrayBatch) -> None:
-    for name, values in vars(a).items():
-        other = getattr(b, name)
+def push(buffer: harness.ReplayBuffer, tr: Transition) -> None:
+    buffer.push(tr.obs, tr.action, tr.reward, tr.next_obs, tr.terminated, tr.truncated)
+
+
+def assert_batch_holds(batch: ArrayBatch, transitions: list[Transition], encoder,
+                       buffer: harness.ReplayBuffer) -> None:
+    """``batch`` equals ``ArrayBatch.from_transitions(transitions, encoder)``
+    bitwise, and its observation ids name the transitions' observations in
+    ``buffer``'s table under its current numbering."""
+    expected = ArrayBatch.from_transitions(transitions, encoder)
+    for name, values in vars(expected).items():
+        if values is None:  # the ids, which a batch from transitions lacks
+            continue
+        other = getattr(batch, name)
         assert values.dtype == other.dtype, name
         assert np.array_equal(values, other), name
+    rows = buffer.observations.rows
+    assert batch.generation is buffer.observations.generation
+    assert np.array_equal(rows[batch.obs_ids], np.stack([tr.obs for tr in transitions]))
+    assert np.array_equal(rows[batch.next_obs_ids], np.stack([tr.next_obs for tr in transitions]))
 
 
 def assert_buffer_holds(buffer: harness.ReplayBuffer, transitions: list[Transition]) -> None:
     """Slot i of ``buffer`` holds ``transitions[i]``, and there are no more slots."""
     assert len(buffer) == len(transitions)
     encoder = IdentityEncoder(len(transitions[0].obs))
-    assert_batches_equal(buffer.take(np.arange(len(buffer)), encoder),
-                         ArrayBatch.from_transitions(transitions, encoder))
+    assert_batch_holds(buffer.take(np.arange(len(buffer)), encoder), transitions, encoder,
+                       buffer)
 
 
 CASES = {
@@ -118,14 +134,13 @@ def test_replay_batch_equals_the_list_replay_bitwise(case, capacity, her_extra,
     rngs = [spawn_rng(capacity, "replay"), spawn_rng(capacity, "her")]
     ref_rngs = [spawn_rng(capacity, "replay"), spawn_rng(capacity, "her")]
     for i, tr in enumerate(transitions):
-        arrays.push(tr)
+        push(arrays, tr)
         listed.push(tr)
         if i % 9 == 8:  # sample between pushes, as the loop does
             batch = harness.replay_batch(arrays, 32, rngs[0], encoder, her_extra, rngs[1])
-            expected = ArrayBatch.from_transitions(
-                list_her_augment(list_replay_sample(listed, 32, ref_rngs[0]), listed,
-                                 her_extra, ref_rngs[1]), encoder)
-            assert_batches_equal(batch, expected)
+            expected = list_her_augment(list_replay_sample(listed, 32, ref_rngs[0]), listed,
+                                        her_extra, ref_rngs[1])
+            assert_batch_holds(batch, expected, encoder, arrays)
             assert len(batch) == 32 + her_extra
     assert_buffer_holds(arrays, listed.transitions)
     for rng, ref in zip(rngs, ref_rngs):
@@ -137,7 +152,7 @@ def test_observation_table_stays_within_its_bound() -> None:
     bound = harness.TABLE_ROWS_PER_SLOT * capacity
     arrays, listed = harness.ReplayBuffer(capacity), ListReplayBuffer(capacity)
     for tr in continuous_transitions(5 * capacity, seed=10):
-        arrays.push(tr)
+        push(arrays, tr)
         listed.push(tr)
         table = arrays.observations
         assert len(table) == len(table.rows) <= len(table._buf) <= bound
@@ -145,18 +160,17 @@ def test_observation_table_stays_within_its_bound() -> None:
     assert len(arrays.observations) < 5 * capacity  # compaction dropped dead rows
     assert_buffer_holds(arrays, listed.transitions)
     encoder = IdentityEncoder(5)
-    assert_batches_equal(
+    assert_batch_holds(
         harness.replay_batch(arrays, 32, spawn_rng(3, "s"), encoder, 8, spawn_rng(3, "h")),
-        ArrayBatch.from_transitions(
-            list_her_augment(list_replay_sample(listed, 32, spawn_rng(3, "s")), listed, 8,
-                             spawn_rng(3, "h")), encoder))
+        list_her_augment(list_replay_sample(listed, 32, spawn_rng(3, "s")), listed, 8,
+                         spawn_rng(3, "h")), encoder, arrays)
 
 
 def test_grid_observations_are_stored_once(room_spec) -> None:
     buffer = harness.ReplayBuffer(1000)
     transitions = grid_transitions(room_spec, 1000, seed=11)
     for tr in transitions:
-        buffer.push(tr)
+        push(buffer, tr)
     distinct = {tr.obs.tobytes() for tr in transitions} | {
         tr.next_obs.tobytes() for tr in transitions}
     assert len(buffer.observations) == len(buffer.observations.rows) == len(distinct)
@@ -166,6 +180,48 @@ def test_a_capacity_one_buffer_keeps_the_last_transition() -> None:
     buffer = harness.ReplayBuffer(1)
     transitions = continuous_transitions(9, seed=12)
     for tr in transitions:
-        buffer.push(tr)
+        push(buffer, tr)
     assert_buffer_holds(buffer, transitions[-1:])
     assert len(buffer.observations._buf) <= harness.TABLE_ROWS_PER_SLOT
+
+
+@pytest.mark.parametrize("encoder", [IdentityEncoder(5), new_vae(5, 3, hidden=(8,), seed=4)],
+                         ids=["identity", "vae"])
+def test_ids_across_compactions_match_the_byte_keyed_and_fresh_oracles(encoder) -> None:
+    """Observations that never repeat compact the table between batches, and
+    compaction renumbers the ids under the memos.  Every batch still equals
+    its list oracle; the id-keyed target values and neighbour rows equal a
+    fresh forward and a fresh search; and a learner fed the batches trains bit
+    for bit as a twin fed them without ids (byte keys, fresh searches)."""
+    capacity, batch_size = 16, 8
+    demo_obs = np.stack([tr.obs for tr in continuous_transitions(40, seed=14)])
+    index = retrieval.LatentIndex(
+        latents=encoder.encode_batch(demo_obs), actions=np.arange(40) % 4, rewards=np.zeros(40),
+        provenance=[(0, i) for i in range(40)], encoder_id="test", env_id="toy", action_count=4)
+    hp = Hyperparams(lam=1.0, k_neighbors=3, hidden=(8,), batch_size=batch_size)
+    by_id, by_bytes = (AdversarialKickstartLearner(encoder.latent_dim, 4, hp, 0, index)
+                       for _ in range(2))
+    arrays, listed = harness.ReplayBuffer(capacity), ListReplayBuffer(capacity)
+    rng, ref_rng = spawn_rng(1, "replay"), spawn_rng(1, "replay")
+    generations = []  # kept alive, so that their ids stay distinct
+    for i, tr in enumerate(continuous_transitions(12 * capacity, seed=13)):
+        push(arrays, tr)
+        listed.push(tr)
+        for _ in range(3 if i % 5 == 4 else 0):  # repeated draws, so the memos hit too
+            batch = harness.replay_batch(arrays, batch_size, rng, encoder)
+            assert_batch_holds(batch, list_replay_sample(listed, batch_size, ref_rng), encoder,
+                               arrays)
+            generations.append(batch.generation)
+            assert np.array_equal(by_id._neighbors(batch),
+                                  retrieval.knn_batch(index, batch.latents, 3)[0])
+            assert np.array_equal(
+                by_id.target_values(batch.next_latents, batch.next_obs_ids, batch.generation),
+                forward_values(by_id.q_target, batch.next_latents))
+            bare = replace(batch, obs_ids=None, next_obs_ids=None, generation=None)
+            assert by_id.train_batch(batch) == by_bytes.train_batch(bare)
+        if i % 40 == 39:
+            by_id.update_targets()
+            by_bytes.update_targets()
+    assert len({id(g) for g in generations}) > 3  # the table was compacted between batches
+    for p, q in zip(by_id.q.param_arrays(), by_bytes.q.param_arrays()):
+        assert np.array_equal(p, q)

@@ -193,6 +193,122 @@ def test_empty_record_file_is_missing_its_header(tmp_path) -> None:
         snapshots.load_arrays(path)
 
 
+# -- the reader's decoded lists ----------------------------------------------------------
+# read_records cuts flat lists of numbers out of a line and decodes each
+# distinct text once; these properties hold it to json.loads, line by line.
+
+
+def _reference_records(path: str) -> list[tuple[int, dict]]:
+    """read_records as json.loads of every line, with its FormatErrors."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                raise FormatError(f"line {lineno}: blank line")
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"line {lineno}: not valid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise FormatError(f"line {lineno}: expected a JSON object")
+            out.append((lineno, obj))
+    return out
+
+
+def _outcome(read, path: str, packed: frozenset = frozenset()) -> str:
+    """repr of the records (exact for floats, ints and -0.0), with every list
+    under a key in ``packed`` packed as read_records may, or the error text."""
+    try:
+        records = list(read(path))
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    for _, obj in records:
+        for key in packed & set(obj):
+            if isinstance(obj[key], list):
+                obj[key] = snapshots.pack_floats(obj[key])
+    return repr(records)
+
+
+_NUMBER_TEXTS = ["0", "-0", "0.0", "-0.0", "1", "12", "0.50", "1e5", "1E-5", "-2.5e+3", "1e400",
+                 "-1e-400", "5e-324", "123456789012345678901234567890", "1.0", "3.25"]
+_SEPARATORS = [",", ", ", " ,", ",\t", "  ,  "]
+_ODD_VALUES = ['"[1, 2]"', '"@0"', '"@"', '"x @1 y"', '"\\u00400"', '"a\\"[3]"', '"]["',
+               "true", "null", '"x"', "NaN", "-Infinity", '[1, "a"]', "[true]", "[null, 1]",
+               "[[1, 2]]", "[1, [2]]", "[[]]", "[]", '{"k": [1, 2]}', '{"obs": [0.5, 1]}',
+               "[1,,2]", "[1 2]", "[-]", "[1.]", "[+1]", "[01]"]
+
+
+@st.composite
+def _flat_list_texts(draw) -> str:
+    items = draw(st.lists(st.sampled_from(_NUMBER_TEXTS)
+                          | st.floats(allow_nan=False, allow_infinity=False).map(json.dumps)
+                          | st.integers().map(str), max_size=6))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return f"[{pad}{draw(st.sampled_from(_SEPARATORS)).join(items)}{pad}]"
+
+
+@st.composite
+def _record_lines(draw, pool: list[str]) -> str:
+    """An object's text: keys that repeat, lists from ``pool`` (so texts
+    recur across lines), strings holding brackets and the hole mark, nested
+    lists and objects, whitespace variants, and sometimes one edited
+    character or a value that is not an object."""
+    leaf = (st.sampled_from(pool) | _flat_list_texts() | st.sampled_from(_ODD_VALUES)
+            | st.sampled_from(_NUMBER_TEXTS))
+    value = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3).map(
+        lambda xs: "[" + ", ".join(xs) + "]"), max_leaves=4)
+    keys = st.sampled_from(["obs", "data", "a", "@0", "[1]"])
+    colon, comma = draw(st.sampled_from([": ", ":", " : ", ":\t"])), draw(st.sampled_from(_SEPARATORS))
+    items = draw(st.lists(st.tuples(keys, value | st.sampled_from(pool)), max_size=5))
+    line = "{" + comma.join(f"{json.dumps(k)}{colon}{v}" for k, v in items) + "}"
+    if draw(st.integers(0, 9)) == 0:
+        line = draw(value)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(list('[]{},:"@\\ 01.e-') + [""]))
+        line = line[:at] + edit + line[at + draw(st.integers(0, 1)):]
+    return line
+
+
+@_file_settings
+@given(data=st.data())
+def test_read_records_is_json_loads_of_each_line(tmp_path, data) -> None:
+    pool = data.draw(st.lists(_flat_list_texts(), min_size=1, max_size=3))
+    lines = data.draw(st.lists(_record_lines(pool), min_size=1, max_size=6))
+    path = _write_lines(tmp_path / "records.jsonl", [line.replace("\n", " ") for line in lines])
+    reference = _outcome(_reference_records, path)
+    assert _outcome(snapshots.read_records, path) == reference
+    packed = frozenset({"obs", "data"})
+    assert (_outcome(lambda p: snapshots.read_records(p, packed), path, packed)
+            == _outcome(_reference_records, path, packed))
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": [1], "a": "@0"}', '{"a": "@0", "a": [1]}', '{"a": [1], "a": "\\u00400"}',
+    '{"a": [1], "a": [2]}', '{"a": {"b": [1, 2]}}', '{"a": [[1, 2]], "b": [3]}',
+    '{"a": "[1, 2]", "b": [1]}', '{"a": "x\\"[1]\\"", "b": [2]}', '{"[1]": [1]}', "[1, 2]",
+    '{"a" :[ 1 ,2 ]\t, "b":[]}', '{"a": [1e400, -0, -0.0]}', '{"a": [1,, 2]}',
+    '{"a": [1, 2], "b": [true]}', '{"a": [1]} [2]', '{"a": [1], "b": [NaN]}',
+])
+def test_lines_that_defeat_the_cut_read_as_json_loads(tmp_path, line) -> None:
+    """Lists under a repeated key, nested or in strings, the hole mark or an
+    escape spelling it, whitespace variants and lines that are not JSON."""
+    path = _write_lines(tmp_path / "records.jsonl", [line, line])
+    assert _outcome(snapshots.read_records, path) == _outcome(_reference_records, path)
+
+
+@pytest.mark.parametrize("values", [snapshots._PIECE, snapshots._PIECE + 1])
+def test_lists_past_a_piece_are_parsed_in_place(tmp_path, values) -> None:
+    """A list of more than _PIECE values is left in the line for json.loads;
+    one of _PIECE values is decoded once and shared by the records."""
+    text = json.dumps([0.5] * values)
+    path = _write_lines(tmp_path / "long.jsonl", [f'{{"data": {text}, "s": [2]}}'] * 2)
+    (_, first), (_, second) = snapshots.read_records(path)
+    assert first == second == json.loads(f'{{"data": {text}, "s": [2]}}')
+    assert (first["data"] is second["data"]) == (values <= snapshots._PIECE)
+    assert first["s"] is second["s"]
+
+
 # -- loaders of named-array files ------------------------------------------------------
 
 
