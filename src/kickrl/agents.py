@@ -23,8 +23,7 @@ import numpy as np
 
 from .demos import Transition
 from .nets import (Activations, AdamState, DenseNet, RowMemo, adam_step, backward, forward,
-                   forward_values, forward_values_gathered, grown, mlp, net_to_arrays,
-                   soft_update)
+                   forward_values, grown, mlp, net_to_arrays, soft_update)
 from .retrieval import LatentIndex, knn_batch, neighbor_action_counts
 from .seeding import spawn_rng
 
@@ -198,10 +197,18 @@ class ArrayBatch:
 # -- temporal-difference core -------------------------------------------------
 
 
-def _min_bootstrap(batch: ArrayBatch, q_online: DenseNet, q_target,
-                   gamma: float) -> np.ndarray:
+def online_forward(net: DenseNet, opt: AdamState, batch: ArrayBatch) -> Activations:
+    """The training forward of ``net`` over the batch's latents, into
+    ``opt``'s buffers, with its ``values`` over the next latents: the hidden
+    layers run once per distinct observation id (see nets.forward)."""
+    ids = None if batch.obs_ids is None else np.concatenate([batch.obs_ids, batch.next_obs_ids])
+    return forward(net, batch.latents, work=opt, values_of=batch.next_latents, ids=ids)
+
+
+def _min_bootstrap(batch: ArrayBatch, q_online, q_target, gamma: float) -> np.ndarray:
     """gamma * min(online, target) at the online argmax, masked on termination."""
-    next_online = forward_values(q_online, batch.next_latents)
+    next_online = (q_online if isinstance(q_online, np.ndarray)
+                   else forward_values(q_online, batch.next_latents))
     a_star = np.argmax(next_online, axis=1)
     next_target = (q_target(batch.next_latents, batch.next_obs_ids, batch.generation)
                    if isinstance(q_target, RowMemo)
@@ -211,12 +218,14 @@ def _min_bootstrap(batch: ArrayBatch, q_online: DenseNet, q_target,
     return gamma * boot * (1.0 - batch.terminated)
 
 
-def clipped_target(batch: ArrayBatch, q_online: DenseNet, q_target,
+def clipped_target(batch: ArrayBatch, q_online, q_target,
                    gamma: float) -> np.ndarray:
     """Bootstrap on the smaller of the online and target estimates.
 
-    ``q_target`` is the target net, or a learner's RowMemo over its
-    Q-values, which keys on the batch's next_obs_ids when it has them.
+    ``q_online`` is the online net, or its values over the next latents
+    (online_forward's ``values``).  ``q_target`` is the target net, or a
+    learner's RowMemo over its Q-values, which keys on the batch's
+    next_obs_ids when it has them.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -241,8 +250,8 @@ def descend(net: DenseNet, opt: AdamState, acts: Activations, loss: float,
     ``work=opt``); the gradients go there too."""
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}: step rejected")
-    grads, _ = backward(net, acts, grad_rows, input_gradient=False, work=opt)
-    adam_step(net.param_arrays(), grads, opt)
+    backward(net, acts, grad_rows, input_gradient=False, work=opt)
+    adam_step(net.flat, opt.grad, opt)
     return loss
 
 
@@ -267,7 +276,7 @@ def td_step(batch: ArrayBatch, targets: np.ndarray, q_online: DenseNet,
 # Each rule below applies z in one ae_mode.
 
 
-def shaped_target(batch: ArrayBatch, z: np.ndarray, lam: float, q_online: DenseNet,
+def shaped_target(batch: ArrayBatch, z: np.ndarray, lam: float, q_online,
                   q_target, gamma: float) -> np.ndarray:
     """target-shaping: the clipped bootstrap on the shaped reward r - lam*z,
     so at lam=0 the targets are bit-for-bit clipped_target's."""
@@ -348,7 +357,7 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
     if len(batch) == 0:
         raise ValueError("empty batch")
     rows = np.arange(len(batch))
-    critic_acts = forward(critic, batch.latents, work=critic_opt)
+    critic_acts = online_forward(critic, critic_opt, batch)
     q_values = critic_acts.final
     actor_acts = forward(actor, batch.latents, work=actor_opt)
     log_probs = log_softmax(actor_acts.final)
@@ -357,7 +366,7 @@ def awac_update(batch: ArrayBatch, actor: DenseNet, critic: DenseNet,
     advantage = q_values[rows, batch.actions] - value
     weights = awac_weights(advantage, lam)
 
-    y = clipped_target(batch, critic, critic_target, gamma)
+    y = clipped_target(batch, critic_acts.values, critic_target, gamma)
     td = td_step(batch, y, critic, critic_opt, critic_acts)
 
     actor_loss = float(-np.mean(weights * log_probs[rows, batch.actions]))
@@ -469,11 +478,10 @@ class QLearner(Learner):
     def act(self, latent: np.ndarray, eps: float, rng: np.random.Generator) -> int:
         return act_eps_greedy(self.q, latent, eps, rng)
 
-    def compute_targets(self, batch: ArrayBatch) -> np.ndarray:
-        return clipped_target(batch, self.q, self.target_values, self.hp.gamma)
-
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
-        td = td_step(batch, self.compute_targets(batch), self.q, self.opt)
+        acts = online_forward(self.q, self.opt, batch)
+        targets = clipped_target(batch, acts.values, self.target_values, self.hp.gamma)
+        td = td_step(batch, targets, self.q, self.opt, acts)
         return LossBreakdown(td=td, total=td)
 
     def update_targets(self) -> None:
@@ -519,8 +527,9 @@ class AdversarialKickstartLearner(QLearner):
         # The hidden layers run once per distinct latent (63 of 1,557 rows on
         # room-nav) and the output layer over every row, whose count its
         # rounding depends on: forward_values over every row, bit for bit.
-        values = forward_values_gathered(self.q_target, self.index._distinct,
-                                         self.index._row_distinct)
+        latents = self.index.latents
+        values = forward(self.q_target, latents[:0], values_of=latents,
+                         ids=self.index._row_distinct).values
         self._demo_q = values[np.arange(len(self.index)), self.index.actions]
 
     def update_targets(self) -> None:
@@ -555,14 +564,14 @@ class AdversarialKickstartLearner(QLearner):
             return super().train_batch(batch)  # disabled penalty
         neighbor_idx = self._neighbors(batch)
         z = self.z_for_batch(batch, neighbor_idx)
+        acts = online_forward(self.q, self.opt, batch)
         if self.hp.ae_mode == "target-shaping":
-            targets = shaped_target(batch, z, self.hp.lam, self.q, self.target_values,
+            targets = shaped_target(batch, z, self.hp.lam, acts.values, self.target_values,
                                     self.hp.gamma)
-            td = td_step(batch, targets, self.q, self.opt)
+            td = td_step(batch, targets, self.q, self.opt, acts)
             return LossBreakdown(td=td, ae=float(z.mean()), total=td)
 
-        targets = self.compute_targets(batch)
-        acts = forward(self.q, batch.latents, work=self.opt)
+        targets = clipped_target(batch, acts.values, self.target_values, self.hp.gamma)
         td_loss, td_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
         if self.hp.ae_mode == "q-regression":
             penalty, penalty_rows = q_regression_penalty(
@@ -600,8 +609,8 @@ class QDaggerLearner(QLearner):
         return greedy_action(self.teacher, latent)
 
     def train_batch(self, batch: ArrayBatch) -> LossBreakdown:
-        targets = self.compute_targets(batch)
-        acts = forward(self.q, batch.latents, work=self.opt)
+        acts = online_forward(self.q, self.opt, batch)
+        targets = clipped_target(batch, acts.values, self.target_values, self.hp.gamma)
         td_loss, td_rows = td_loss_and_grad_rows(acts.final, batch.actions, targets)
         p = self.teacher_probs(batch.latents, batch.obs_ids, batch.generation)
         d_value, d_rows = distill_loss_and_grad(p, acts.final,
@@ -662,18 +671,17 @@ class BCLearner(Learner):
         self.hp = hp
         self.policy = mlp(latent_dim, n_actions, hp.hidden, spawn_rng(seed, "init", init_tag))
         self.opt = AdamState.for_params(self.policy.param_arrays(), hp.learning_rate)
-        self._best: tuple[float, list[np.ndarray]] | None = None
+        self._best: tuple[float, np.ndarray] | None = None
 
     def evaluated(self, mean_return: float) -> None:
         """Keep the parameters if no earlier evaluation scored as high."""
         if self._best is None or mean_return > self._best[0]:
-            self._best = (mean_return, [p.copy() for p in self.policy.param_arrays()])
+            self._best = (mean_return, self.policy.flat.copy())
 
     def restore_best(self) -> None:
         """Put back the kept parameters (none kept: no change)."""
         if self._best is not None:
-            for p, kept in zip(self.policy.param_arrays(), self._best[1]):
-                p[...] = kept
+            self.policy.flat[...] = self._best[1]
 
     def phase(self, tick: int) -> str:
         return "offline"

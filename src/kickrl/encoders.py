@@ -186,7 +186,7 @@ class DenseVaeEncoder(Encoder):
 
     @property
     def encoder_id(self) -> str:
-        tag = zlib.crc32(b"".join(p.tobytes() for p in self.enc_net.param_arrays()))
+        tag = zlib.crc32(self.enc_net.flat.tobytes())
         return f"vae:{self.latent_dim}:{tag & 0xFFFFFFFF:08x}"
 
     def _latents(self, batch: np.ndarray) -> np.ndarray:
@@ -263,12 +263,11 @@ def vae_train_step(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
     Its gradients and batch-sized arrays live in the optimisers' buffers."""
     batch = np.asarray(batch, dtype=np.float64)
     noise = vae.noise_rng.standard_normal((batch.shape[0], vae.latent_dim))
-    parts, enc_grads, dec_grads = vae_loss_and_grads(vae, batch, beta, noise,
-                                                     (enc_opt, dec_opt))
+    parts, _, _ = vae_loss_and_grads(vae, batch, beta, noise, (enc_opt, dec_opt))
     if not np.isfinite(parts.total):
         raise FloatingPointError(f"non-finite loss {parts.total}: step rejected")
-    adam_step(vae.enc_net.param_arrays(), enc_grads, enc_opt)
-    adam_step(vae.dec_net.param_arrays(), dec_grads, dec_opt)
+    adam_step(vae.enc_net.flat, enc_opt.grad, enc_opt)
+    adam_step(vae.dec_net.flat, dec_opt.grad, dec_opt)
     vae.latent_memo.clear()
     return parts
 

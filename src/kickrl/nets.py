@@ -8,8 +8,12 @@ take softmax over those outputs themselves.
 
 from __future__ import annotations
 
+import math
+import os
+import queue
 import sys
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +45,12 @@ class Layer:
 
 @dataclass
 class DenseNet:
+    """Layers whose parameters are views of one vector, ``flat``, in
+    param_arrays() order, so that Adam runs once per net.
+    A net owns its layers: building another net on them takes them over."""
+
     layers: list[Layer]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -51,6 +60,10 @@ class DenseNet:
                 raise ShapeError(
                     f"layer dims do not chain: {prev.weights.shape} -> {cur.weights.shape}"
                 )
+        self.flat = np.concatenate([p.ravel() for p in self.param_arrays()])
+        views = iter(_views(self.flat, [p.shape for p in self.param_arrays()]))
+        for layer in self.layers:
+            layer.weights, layer.biases = next(views), next(views)
 
     @property
     def input_dim(self) -> int:
@@ -78,6 +91,12 @@ class DenseNet:
         return DenseNet(
             [Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers]
         )
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` in these shapes."""
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
 def net_to_arrays(net: DenseNet, prefix: str) -> dict[str, np.ndarray]:
@@ -127,6 +146,7 @@ class Activations:
 
     inputs: np.ndarray
     outputs: list[np.ndarray]
+    values: np.ndarray | None = None  # the outputs over forward's ``values_of``
 
     @property
     def final(self) -> np.ndarray:
@@ -160,21 +180,57 @@ def _layer_output(layer: Layer, h: np.ndarray, out: np.ndarray | None = None) ->
     return z
 
 
-def forward(net: DenseNet, batch: np.ndarray, work: AdamState | None = None) -> Activations:
+def forward(net: DenseNet, batch: np.ndarray, work: AdamState | None = None,
+            values_of: np.ndarray | None = None, ids: np.ndarray | None = None) -> Activations:
     """Run the net on a batch of rows, retaining every layer output.
 
     With ``work`` (the net's AdamState) the outputs are written into its
     ``rows`` instead of new arrays, so they hold until the next forward with
     the same ``work``: for the forward a training step backpropagates.
+
+    With ``values_of``, a second batch, the result's ``values`` are
+    ``forward_values(net, values_of)``, bitwise, and the hidden layers run
+    once over both batches: once per distinct id in ``ids`` (the ids of
+    ``batch``'s rows, then of ``values_of``'s; equal ids must mean equal
+    rows), or once per row without ``ids``.  Their outputs are gathered into
+    each batch's rows, and the output layer runs on each batch.
+
+    The premise is the BLAS build's: a hidden layer's gemm rounds each row
+    alike at every row count from 2 up.  A 1-row forward is a gemv and rounds
+    otherwise, so a 1-row batch runs alone and a lone distinct row as 2 rows.
+    The output layer keeps each batch's row count, whose class its rounding
+    depends on (a 256->4 gemm changes kernel at 977 rows on the recorded
+    build).  There the premise holds for hidden widths that are multiples of
+    8 (``tests/test_golden.py`` gates it); other widths get the same values
+    up to rounding.
     """
     x = _net_input(net, batch)
+    y = None if values_of is None else _net_input(net, values_of)
+    rows = (lambda *_: None) if work is None else work.rows
+    if y is not None and 1 in (len(x), len(y)):  # a gemv: each batch alone
+        return replace(forward(net, x, work), values=forward_values(net, y))
+    h, take = x, None  # the rows the hidden layers run on, and each batch row's among them
+    if y is not None:
+        if ids is not None and len(ids) != len(x) + len(y):
+            raise ShapeError(f"{len(ids)} ids for {len(x) + len(y)} rows")
+        h = np.concatenate([x, y]) if len(x) else y
+        _, first, take = np.unique(np.arange(len(h)) if ids is None else ids,
+                                   return_index=True, return_inverse=True)
+        h = h[first.repeat(2) if len(first) == 1 else first]
     outputs: list[np.ndarray] = []
-    h = x
     for i, layer in enumerate(net.layers):
-        out = None if work is None else work.rows(f"out{i}", len(x), layer.weights.shape[1])
-        h = _layer_output(layer, h, out)
-        outputs.append(h)
-    return Activations(inputs=x, outputs=outputs)
+        width = layer.weights.shape[1]
+        out = rows(f"out{i}", len(x), width)
+        if i == len(net.layers) - 1:
+            out = _layer_output(layer, outputs[-1] if outputs else x, out)
+        elif take is None:
+            h = out = _layer_output(layer, h, out)
+        else:
+            h = _layer_output(layer, h, rows(f"hidden{i}", len(h), width))
+            out = np.take(h, take[:len(x)], axis=0, out=out, mode="clip")
+        outputs.append(out)
+    values = None if take is None else _layer_output(net.layers[-1], h[take[len(x):]])
+    return Activations(inputs=x, outputs=outputs, values=values)
 
 
 def forward_values(net: DenseNet, batch: np.ndarray) -> np.ndarray:
@@ -184,32 +240,6 @@ def forward_values(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     for layer in net.layers:
         h = _layer_output(layer, h)
     return h
-
-
-def forward_values_gathered(net: DenseNet, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``forward_values(net, rows[ids])``, bitwise, running the hidden layers
-    once per row of ``rows``: their outputs are gathered by ``ids`` into one
-    (len(ids), width) array, and the output layer runs on that.
-
-    The premise is the BLAS build's: a hidden layer's gemm rounds each row the
-    same at every row count from 2 up, so a row's hidden outputs at len(rows)
-    rows equal its outputs at len(ids) rows.  A 1-row forward is a gemv and
-    rounds otherwise, so a lone id runs as a 1-row forward and a lone row of
-    several ids as 2 rows.  The output layer keeps the len(ids)-row call,
-    because its rounding can change with the row count (a 256->4 gemm changes
-    kernel at 977 rows on the recorded build).  On that build the premise holds
-    for hidden widths that are multiples of 8, such as the default 256
-    (``tests/test_golden.py`` gates it); a net of other widths gets the same
-    values up to rounding."""
-    h = _net_input(net, rows)
-    ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) == 1:
-        h, ids = h[ids], np.zeros(1, dtype=np.int64)
-    elif len(h) == 1:
-        h = np.repeat(h, 2, axis=0)
-    for layer in net.layers[:-1]:
-        h = _layer_output(layer, h)
-    return _layer_output(net.layers[-1], h[ids])
 
 
 class RowMemo:
@@ -223,7 +253,7 @@ class RowMemo:
     is a gemv, and OpenBLAS picks another gemm kernel for a 256->4 layer from
     977 rows on), but not on the batch's other rows.  On the package's nets
     only the output layer's rounding moves between counts above 1, which
-    forward_values_gathered relies on; the memo keys by the whole count, which
+    forward's gathered form relies on; the memo keys by the whole count, which
     is safe on any build.  ``clear`` must be called whenever ``fn`` changes.
     There is no size cap: callers feed grid worlds, whose inputs repeat.
 
@@ -415,27 +445,27 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators for one parameter list."""
+    """First/second-moment accumulators for one flat parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    # adam_step's work buffer: it updates one parameter at a time, so the
-    # largest parameter's size serves them all.
-    _scratch: np.ndarray = field(init=False, repr=False)
+    _scratch: np.ndarray = field(init=False, repr=False)  # adam_step's work vector
     # forward(work=) and backward(work=) write a training step's arrays into
-    # grads and rows(), so that a step allocates nothing of a parameter's or
-    # a batch's size and its speed does not depend on the heap's history.
+    # grads (views of the flat ``grad``, one per parameter) and rows(), so
+    # that a step allocates nothing of a parameter's or a batch's size and its
+    # speed does not depend on the heap's history.
+    grad: np.ndarray = field(init=False, repr=False)
     grads: list[np.ndarray] = field(init=False, repr=False)
     _rows: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._scratch = np.zeros(max((m.size for m in self.m), default=0))
-        self.grads = [np.zeros_like(m) for m in self.m]
+        self._scratch, self.grad = np.zeros_like(self.m), np.zeros_like(self.m)
+        self.grads = [self.grad]
         self._rows = {}
 
     def rows(self, name: str, n: int, width: int) -> np.ndarray:
@@ -450,41 +480,16 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], learning_rate: float = 1e-4) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            learning_rate=learning_rate,
-        )
+        """The state of the flat vector of ``params`` (a net's param_arrays())."""
+        size = sum(p.size for p in params)
+        state = cls(m=np.zeros(size), v=np.zeros(size), learning_rate=learning_rate)
+        state.grads = _views(state.grad, [p.shape for p in params])
+        return state
 
-
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """Apply one bias-corrected Adam update in place.
-
-    Non-finite gradients reject the whole update before any mutation.
-    An all-zero gradient is a complete no-op regardless of accumulated
-    state (momentum does not coast).  Updates run through the state's
-    preallocated scratch buffer; this sits on the training hot path and
-    temporary allocations dominate otherwise.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params, grads and Adam state are misaligned")
-    all_zero = True
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient: update rejected")
-        if all_zero and np.any(g):
-            all_zero = False
-    if all_zero:
-        return
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1**t
-    bias2 = 1.0 - b2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        scratch = state._scratch[:p.size].reshape(p.shape)
+    def _passes(self, p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                scratch: np.ndarray) -> None:
+        """Adam's elementwise passes over one slice of the flat vectors."""
+        b1, b2, t = self.beta1, self.beta2, self.step
         m *= b1
         np.multiply(g, 1.0 - b1, out=scratch)
         m += scratch
@@ -493,12 +498,78 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         scratch *= 1.0 - b2
         v += scratch
         # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), fused in place
-        np.divide(v, bias2, out=scratch)
+        np.divide(v, 1.0 - b2**t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.epsilon
+        scratch += self.epsilon
         np.divide(m, scratch, out=scratch)
-        scratch *= state.learning_rate / bias1
+        scratch *= self.learning_rate / (1.0 - b1**t)
         p -= scratch
+
+
+# Adam on a net this large runs as two halves on two threads if the process may
+# use two CPUs: the Q-nets (71k, 99.8k) gain, the VAE's (21k) would lose more
+# to the 13 us thread round trip than they gain.
+HALVES_MIN_PARAMS = 32_768
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+WORKER_NAME = "kickrl-nets"
+_worker: tuple | None = None  # (pid, lock, tasks, done) of this process's worker thread
+
+
+def _serve(tasks: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """The worker runs ufunc passes only (no function a tracer wraps) and
+    drops each task's arrays when it is done."""
+    while True:
+        fn, args = tasks.get()
+        try:
+            fn(*args)
+            done.put(None)
+        except BaseException as exc:  # re-raised in the caller
+            done.put(exc)
+        del fn, args
+
+
+def _in_halves(fn, *arrays: np.ndarray) -> None:
+    """``fn`` over the lower halves of ``arrays`` here and the upper halves on
+    the worker, which a process (a forked child too) starts on first use.
+    The lock pairs each calling thread's task with its completion."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        _worker = (os.getpid(), threading.Lock(), queue.SimpleQueue(), queue.SimpleQueue())
+        threading.Thread(target=_serve, args=_worker[2:], name=WORKER_NAME, daemon=True).start()
+    _, lock, tasks, done = _worker
+    half = len(arrays[0]) // 2
+    with lock:
+        tasks.put((fn, [a[half:] for a in arrays]))
+        try:
+            fn(*(a[:half] for a in arrays))
+        finally:
+            error = done.get()
+    if error is not None:
+        raise error
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """Apply one bias-corrected Adam update in place to a flat parameter
+    vector (a net's ``flat``) from a gradient of its layout (``state.grad``).
+
+    Non-finite gradients reject the whole update before any mutation.
+    An all-zero gradient is a complete no-op regardless of accumulated
+    state (momentum does not coast).  The passes run through the state's
+    scratch vector, and as two halves on two threads for a large net
+    (HALVES_MIN_PARAMS); each element gets the same operations either way.
+    """
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeError("params, grads and Adam state are misaligned")
+    if not np.isfinite(grads).all():
+        raise FloatingPointError("non-finite gradient: update rejected")
+    if not grads.any():
+        return
+    state.step += 1
+    arrays = (params, grads, state.m, state.v, state._scratch)
+    if len(params) >= HALVES_MIN_PARAMS and _CPUS >= 2:
+        _in_halves(state._passes, *arrays)
+    else:
+        state._passes(*arrays)
 
 
 def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
@@ -508,6 +579,8 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     tps, ops = target.param_arrays(), online.param_arrays()
     if len(tps) != len(ops) or any(t.shape != o.shape for t, o in zip(tps, ops)):
         raise ShapeError("target and online architectures differ")
+    # one array at a time: a whole-vector tau * online is a 0.8 MB temporary
+    # on a Q-net, which raised the benchmark's peak RSS by about 1 MB
     for t, o in zip(tps, ops):
         t *= 1.0 - tau
         t += tau * o

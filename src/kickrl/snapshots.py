@@ -14,6 +14,7 @@ as Python floats and text, not the whole array; the bytes are those of one
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -101,8 +102,10 @@ def read_records(path: str, packed: frozenset = frozenset()) -> Iterator[tuple[i
     ``json.loads`` of its line, but, as the writer encodes them, top-level
     lists of at most ``_PIECE`` numbers are decoded once per distinct text in
     the file and shared (do not write into them), packed under a key in
-    ``packed`` (``pack_floats``)."""
-    lists: dict[tuple[bool, str], list | bytes] = {}
+    ``packed`` (``pack_floats``).  They are kept by a digest of the text, and
+    by the text only once it repeats: demo observations nearly always do,
+    snapshot lists almost never."""
+    lists: dict[tuple[bool, str | bytes], list | bytes] = {}  # by text, or by its digest
     lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -144,10 +147,16 @@ def _parsed(raw: str, lists: dict, packed: frozenset):
         if holes and len(holes) == len(texts):
             for key, text in holes.items():
                 memo = (key in packed, text)
-                if memo not in lists:
-                    value = json.loads(text)
-                    lists[memo] = pack_floats(value) if key in packed else value
-                obj[key] = lists[memo]
+                value = lists.get(memo)
+                if value is None:  # a first or second sighting of the text
+                    digest = (memo[0], hashlib.blake2b(text.encode(), digest_size=16).digest())
+                    value = lists.get(digest)
+                    if value is None:
+                        value = json.loads(text)
+                        value = lists[digest] = pack_floats(value) if key in packed else value
+                    else:
+                        lists[memo] = value
+                obj[key] = value
             return obj
     except json.JSONDecodeError:
         pass

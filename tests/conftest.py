@@ -5,11 +5,23 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import threading
 import warnings
 
 import pytest
 
-from kickrl import demos, encoders, envs
+from kickrl import demos, encoders, envs, nets
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """A test may leave no new thread running but the one nets worker, which
+    lives for the process (tests/test_memory.py checks that it holds no net)."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name != nets.WORKER_NAME]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

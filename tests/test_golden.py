@@ -172,12 +172,13 @@ def blas_build() -> str:
 
 
 def test_hidden_layer_rows_round_alike_at_every_row_count_above_one() -> None:
-    """The premise of nets.forward_values_gathered, which runs the demo-Q
-    refresh's hidden layers over the index's distinct latents (63 on room-nav,
-    101 on four-rooms) and gathers them to every row (1,557 and 2,338): the
-    256-wide hidden layers give a row the same bits at every row count from 2
-    up, on both sides of ROW_CLASS_BOUNDARY, and a 1-row forward (a gemv)
-    other bits."""
+    """The premise of nets.forward's gathered form, which runs the hidden
+    layers over distinct rows and gathers them to every row: the demo-Q
+    refresh's index latents (63 of 1,557 on room-nav, 101 of 2,338 on
+    four-rooms) and a training step's observations and next observations.
+    The 256-wide hidden layers give a row the same bits at every row count
+    from 2 up, on both sides of ROW_CLASS_BOUNDARY, and a 1-row forward (a
+    gemv) other bits."""
     counts = (2, 63, 101, ROW_CLASS_BOUNDARY - 1, ROW_CLASS_BOUNDARY, 1557)
     moved = []
     for dim in (128, 16):
@@ -189,7 +190,7 @@ def test_hidden_layer_rows_round_alike_at_every_row_count_above_one() -> None:
         if np.array_equal(forward_values(hidden, x[:1]), whole[:1]):
             moved.append(f"{dim}->256->256 at 1 row rounds as 2338 rows do")
     assert not moved, (f"hidden-layer rounding moved on this BLAS build ({blas_build()}): "
-                       + "; ".join(moved) + ". forward_values_gathered and the golden "
+                       + "; ".join(moved) + ". forward's gathered form and the golden "
                        "hashes assume every count from 2 up rounds alike.")
 
 

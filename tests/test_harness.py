@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -240,6 +242,33 @@ def test_run_seeds_parallel_matches_sequential(tmp_path, room_store_path) -> Non
         csv_a = open(os.path.join(a.config["out_dir"], "metrics.csv"), "rb").read()
         csv_b = open(os.path.join(b.config["out_dir"], "metrics.csv"), "rb").read()
         assert csv_a == csv_b
+
+
+def test_forked_runs_after_a_serial_run_match_their_serial_bytes(tmp_path) -> None:
+    """A serial run starts this process's Adam worker thread (on a host that
+    lets it use two CPUs); pool children forked after it inherit a worker
+    object whose thread is not running in them, and must start their own."""
+    serial_cfg, forked_cfg = tiny_cfg(tmp_path, total=600), tiny_cfg(tmp_path, total=600)
+    serial_cfg.out_dir, forked_cfg.out_dir = str(tmp_path / "serial"), str(tmp_path / "forked")
+    serial = harness.run_seeds(serial_cfg, [1, 2])
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert nets.WORKER_NAME in [t.name for t in threading.enumerate()]
+
+    def hung(*_):
+        raise TimeoutError("the forked runs did not finish: a child waits on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        forked = harness.run_seeds(forked_cfg, [1, 2], parallelism=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for a, b in zip(serial, forked):
+        for path in ("metrics.csv", os.path.basename(a.snapshot_path)):
+            with open(os.path.join(a.config["out_dir"], path), "rb") as fa, \
+                    open(os.path.join(b.config["out_dir"], path), "rb") as fb:
+                assert fa.read() == fb.read(), (a.config["seed"], path)
 
 
 @pytest.mark.parametrize("kind", agents.AGENT_KINDS)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,40 +124,35 @@ def test_backward_rejects_mismatched_activations() -> None:
 
 
 def test_adam_zero_gradient_is_noop_for_any_state() -> None:
-    net = small_net(8)
-    params = net.param_arrays()
-    state = nets.AdamState.for_params(params, learning_rate=1e-3)
-    # put the state mid-flight: moments and counter nonzero
+    """On a net below the split size and one above it."""
     rng = np.random.default_rng(9)
-    for m, v in zip(state.m, state.v):
-        m += rng.standard_normal(m.shape)
-        v += np.abs(rng.standard_normal(v.shape))
-    state.step = 17
-    before = [p.copy() for p in params]
-    nets.adam_step(params, [np.zeros_like(p) for p in params], state)
-    assert all(np.array_equal(p, b) for p, b in zip(params, before))
-    assert state.step == 17  # a no-op does not advance the state either
+    for net in (small_net(8), nets.mlp(128, 4, (256, 256), rng)):
+        state = nets.AdamState.for_params(net.param_arrays(), learning_rate=1e-3)
+        # put the state mid-flight: moments and counter nonzero
+        state.m += rng.standard_normal(state.m.shape)
+        state.v += np.abs(rng.standard_normal(state.v.shape))
+        state.step = 17
+        before, m_before = net.flat.copy(), state.m.copy()
+        nets.adam_step(net.flat, np.zeros_like(net.flat), state)
+        assert np.array_equal(net.flat, before) and np.array_equal(state.m, m_before)
+        assert state.step == 17  # a no-op does not advance the state either
 
 
 def test_adam_first_step_is_signed_learning_rate() -> None:
     net = small_net(10)
-    params = net.param_arrays()
-    state = nets.AdamState.for_params(params, learning_rate=1e-3)
-    grads = [np.full_like(p, 0.7) for p in params]
-    before = [p.copy() for p in params]
-    nets.adam_step(params, grads, state)
-    for p, b in zip(params, before):
-        assert np.allclose(p - b, -1e-3, rtol=1e-6)
+    state = nets.AdamState.for_params(net.param_arrays(), learning_rate=1e-3)
+    before = net.flat.copy()
+    nets.adam_step(net.flat, np.full_like(net.flat, 0.7), state)
+    assert np.allclose(net.flat - before, -1e-3, rtol=1e-6)
 
 
 def test_adam_descends_a_quadratic_bowl_monotonically() -> None:
     theta = np.array([5.0, -4.0, 3.0])
-    params = [theta]
-    state = nets.AdamState.for_params(params, learning_rate=1e-2)
+    state = nets.AdamState.for_params([theta], learning_rate=1e-2)
     losses = []
     for _ in range(100):
         losses.append(0.5 * float(np.sum(theta**2)))
-        nets.adam_step(params, [theta.copy()], state)
+        nets.adam_step(theta, theta.copy(), state)
     losses.append(0.5 * float(np.sum(theta**2)))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -162,16 +160,130 @@ def test_adam_descends_a_quadratic_bowl_monotonically() -> None:
 def test_adam_state_built_directly_steps_like_for_params() -> None:
     # every constructor path gets its scratch buffers; there is no lazy fallback
     a, b = small_net(12), small_net(12)
-    direct = nets.AdamState(m=[np.zeros_like(p) for p in a.param_arrays()],
-                            v=[np.zeros_like(p) for p in a.param_arrays()],
+    direct = nets.AdamState(m=np.zeros_like(a.flat), v=np.zeros_like(a.flat),
                             learning_rate=1e-3)
     built = nets.AdamState.for_params(b.param_arrays(), learning_rate=1e-3)
     rng = np.random.default_rng(12)
     for _ in range(3):
-        grads = [rng.standard_normal(p.shape) for p in a.param_arrays()]
-        nets.adam_step(a.param_arrays(), grads, direct)
-        nets.adam_step(b.param_arrays(), grads, built)
-    assert all(np.array_equal(x, y) for x, y in zip(a.param_arrays(), b.param_arrays()))
+        grads = rng.standard_normal(a.flat.shape)
+        nets.adam_step(a.flat, grads, direct)
+        nets.adam_step(b.flat, grads, built)
+    assert np.array_equal(a.flat, b.flat)
+
+
+def _per_array_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8) -> None:
+    """The Adam update as it ran before parameters were flat: the same
+    elementwise passes, one parameter array at a time."""
+    for p, g, m_, v_ in zip(params, grads, m, v):
+        scratch = np.empty_like(p)
+        m_ *= b1
+        np.multiply(g, 1.0 - b1, out=scratch)
+        m_ += scratch
+        v_ *= b2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v_ += scratch
+        np.divide(v_, 1.0 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        np.divide(m_, scratch, out=scratch)
+        scratch *= lr / (1.0 - b1**t)
+        p -= scratch
+
+
+@pytest.mark.parametrize("hidden", [(16, 16), (256, 256)])
+def test_flat_adam_equals_the_per_array_oracle_bitwise(hidden) -> None:
+    """Below the split size (one thread) and above it (two halves on two
+    threads, on a host that may use two CPUs), over several steps."""
+    rng = np.random.default_rng(94)
+    net = nets.mlp(128, 4, hidden, rng)
+    assert (net.flat.size >= nets.HALVES_MIN_PARAMS) == (hidden[0] == 256)
+    oracle = [p.copy() for p in net.param_arrays()]
+    m, v = [np.zeros_like(p) for p in oracle], [np.zeros_like(p) for p in oracle]
+    state = nets.AdamState.for_params(net.param_arrays(), learning_rate=3e-4)
+    for t in range(1, 6):
+        for g in state.grads:
+            g[...] = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-6, 2)
+        nets.adam_step(net.flat, state.grad, state)
+        _per_array_adam(oracle, state.grads, m, v, t, 3e-4)
+        assert state.step == t
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(net.param_arrays(), oracle))
+        assert state.m.tobytes() == np.concatenate([x.ravel() for x in m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([x.ravel() for x in v]).tobytes()
+
+
+def test_adam_rejects_non_finite_gradients_without_mutation() -> None:
+    """A NaN in either half of a net above the split size rejects the update
+    before either half changes."""
+    net = nets.mlp(128, 4, (256, 256), np.random.default_rng(11))
+    state = nets.AdamState.for_params(net.param_arrays())
+    state.m += 0.5
+    before, m_before, v_before = net.flat.copy(), state.m.copy(), state.v.copy()
+    for where in (1, len(net.flat) - 2):  # the lower half, then the upper
+        grads = np.full_like(net.flat, 1e-3)
+        grads[where] = np.nan
+        with pytest.raises(FloatingPointError):
+            nets.adam_step(net.flat, grads, state)
+        assert np.array_equal(net.flat, before)
+        assert np.array_equal(state.m, m_before) and np.array_equal(state.v, v_before)
+        assert state.step == 0
+
+
+def test_adam_steps_from_more_threads_than_cores_each_see_their_own_update() -> None:
+    """Four threads share the one worker, with the interpreter switching
+    threads every microsecond: each step must have finished both halves
+    when it returns."""
+    rng = np.random.default_rng(100)
+    nets_ = [nets.mlp(128, 4, (128, 128), rng) for _ in range(4)]
+    assert nets_[0].flat.size >= nets.HALVES_MIN_PARAMS
+    grads = [[rng.standard_normal(n.flat.size) for _ in range(8)] for n in nets_]
+    expected = [[] for _ in nets_]
+    for net, gs, want in zip(nets_, grads, expected):  # one thread, on copies
+        copy, state = net.copy(), nets.AdamState.for_params(net.param_arrays())
+        for g in gs:
+            nets.adam_step(copy.flat, g, state)
+            want.append(copy.flat.copy())
+    mismatches = []
+
+    def train(net, gs, want):
+        state = nets.AdamState.for_params(net.param_arrays())
+        for g, flat in zip(gs, want):
+            nets.adam_step(net.flat, g, state)
+            mismatches.append(not np.array_equal(net.flat, flat))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=train, args=args)
+                   for args in zip(nets_, grads, expected)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(mismatches) == 32 and not any(mismatches)
+
+
+def test_adam_rejects_misaligned_vectors() -> None:
+    net = small_net(95)
+    state = nets.AdamState.for_params(net.param_arrays())
+    with pytest.raises(ShapeError):
+        nets.adam_step(net.flat, np.zeros(net.flat.size + 1), state)
+
+
+def test_a_net_keeps_its_parameters_in_one_flat_vector() -> None:
+    """Every way of making a net: init, copy and the snapshot layout, whose
+    arrays are views of the net they name and copied into the net they make."""
+    net = small_net(96)
+    arrays = nets.net_to_arrays(net, "q")
+    assert all(np.shares_memory(a, net.flat) for a in arrays.values())
+    for made in (net.copy(), nets.net_from_arrays(arrays, "q", ["relu", "linear"])):
+        assert all(np.shares_memory(p, made.flat) for p in made.param_arrays())
+        assert not np.shares_memory(made.flat, net.flat)
+        assert made.flat.tobytes() == net.flat.tobytes()
+    assert net.flat.tobytes() == b"".join(p.tobytes() for p in net.param_arrays())
 
 
 def test_net_arrays_round_trip_under_a_prefix() -> None:
@@ -182,19 +294,6 @@ def test_net_arrays_round_trip_under_a_prefix() -> None:
     back = nets.net_from_arrays(arrays, "q", [l.activation for l in net.layers])
     assert all(np.array_equal(x, y) for x, y in zip(back.param_arrays(), net.param_arrays()))
     assert [l.activation for l in back.layers] == [l.activation for l in net.layers]
-
-
-def test_adam_rejects_non_finite_gradients_without_mutation() -> None:
-    net = small_net(11)
-    params = net.param_arrays()
-    state = nets.AdamState.for_params(params)
-    grads = [np.zeros_like(p) for p in params]
-    grads[0][0, 0] = np.nan
-    before = [p.copy() for p in params]
-    with pytest.raises(FloatingPointError):
-        nets.adam_step(params, grads, state)
-    assert all(np.array_equal(p, b) for p, b in zip(params, before))
-    assert state.step == 0
 
 
 # -- soft updates ----------------------------------------------------------------
@@ -398,16 +497,16 @@ def test_forward_values_checks_the_batch_width() -> None:
 @settings(max_examples=80, deadline=None)
 def test_forward_values_gathered_equals_a_forward_over_the_gathered_rows(
         input_dim, hidden, output_dim, distinct, rows, seed) -> None:
-    """Bitwise, for any count of distinct rows and of ids, on both sides of
-    the output layer's 977-row class.  Hidden widths are multiples of 8, the
+    """The demo-Q refresh's forward (values only, over rows with ids)
+    equals a plain forward bitwise, for any count of distinct rows and of
+    ids, on both sides of the output layer's 977-row class.  Hidden widths are multiples of 8, the
     widths whose gemm rounds a row alike at every row count above 1 on the
     recorded BLAS build (a 35->11 layer, for one, does not)."""
     rng = np.random.default_rng(seed)
     net = nets.mlp(input_dim, output_dim, tuple(hidden), rng)
     x = rng.standard_normal((distinct, input_dim))
     ids = rng.integers(0, distinct, rows)
-    assert np.array_equal(nets.forward_values_gathered(net, x, ids),
-                          nets.forward_values(net, x[ids]))
+    assert np.array_equal(_gathered_values(net, x, ids), nets.forward_values(net, x[ids]))
 
 
 @pytest.mark.parametrize("distinct, rows", [(1, 1), (1, 2), (1, 1557), (2, 1), (63, 1557),
@@ -422,8 +521,50 @@ def test_forward_values_gathered_on_the_package_nets(shape, distinct, rows) -> N
     x = rng.standard_normal((distinct, dims[0]))
     ids = np.concatenate([np.arange(min(distinct, rows)),
                           rng.integers(0, distinct, max(0, rows - distinct))])
-    assert np.array_equal(nets.forward_values_gathered(net, x, ids),
-                          nets.forward_values(net, x[ids]))
+    assert np.array_equal(_gathered_values(net, x, ids), nets.forward_values(net, x[ids]))
+
+
+def _gathered_values(net, x, ids):
+    """forward's values over x[ids] with no training rows: the demo-Q refresh."""
+    return nets.forward(net, x[:0], values_of=x[ids], ids=ids).values
+
+
+def _shared_forward_cases():
+    """(name, batch, values_of, ids) as a Q-learner's step makes them."""
+    rng = np.random.default_rng(97)
+    pool = rng.integers(0, 2, size=(30, 128)).astype(np.float64)
+    picks = rng.integers(0, 30, 64)
+    her = np.concatenate([picks[:32], rng.integers(0, 30, 16), picks[32:], picks[:16]])
+    one = np.zeros(64, dtype=np.int64)
+    return [("ids", pool[picks[:32]], pool[picks[32:]], picks),
+            ("no ids", pool[picks[:32]], pool[picks[32:]], None),
+            ("one id", pool[one[:32]], pool[one[32:]], one),
+            ("one row", pool[picks[:1]], pool[picks[1:2]], picks[:2]),
+            ("one row, one id", pool[:1], pool[:1], one[:2]),
+            ("her", pool[her[:48]], pool[her[48:]], her)]
+
+
+@pytest.mark.parametrize("case", _shared_forward_cases(), ids=lambda case: case[0])
+def test_the_shared_forward_equals_a_forward_and_a_values_forward_bitwise(case) -> None:
+    """A training forward with the bootstrap's values (the hidden layers run
+    once per distinct id) gives the bytes of ``forward`` plus
+    ``forward_values``: with ids and without, 64 rows of one id (run as 2
+    rows, not as a gemv), a 1-row batch (gemvs) and a 48-row HER batch."""
+    _, batch, values_of, ids = case
+    net = nets.init_net(*PREMISE_SHAPES["q-net identity latents"], np.random.default_rng(98))
+    opt = nets.AdamState.for_params(net.param_arrays())
+    for _ in range(2):  # the second reuses the work rows
+        shared = nets.forward(net, batch, work=opt, values_of=values_of, ids=ids)
+        plain = nets.forward(net, batch)
+        assert shared.inputs.tobytes() == plain.inputs.tobytes()
+        assert [a.tobytes() for a in shared.outputs] == [a.tobytes() for a in plain.outputs]
+        assert shared.values.tobytes() == nets.forward_values(net, values_of).tobytes()
+
+
+def test_the_shared_forward_checks_it_has_one_id_per_row() -> None:
+    net = small_net(99)
+    with pytest.raises(ShapeError):
+        nets.forward(net, np.zeros((3, 4)), values_of=np.zeros((3, 4)), ids=np.arange(5))
 
 
 def counted(net):
@@ -652,7 +793,7 @@ def test_forward_and_backward_with_work_give_the_new_arrays_bytes() -> None:
         for a, b in zip([*acts.outputs, *grads, input_grad],
                         [*fresh.outputs, *fresh_grads, fresh_input]):
             assert a.tobytes() == b.tobytes()
-        nets.adam_step(net.param_arrays(), grads, opt)
+        nets.adam_step(net.flat, opt.grad, opt)
 
 
 def test_grad_check_passes_after_a_buffered_step_on_the_same_net() -> None:
@@ -662,8 +803,8 @@ def test_grad_check_passes_after_a_buffered_step_on_the_same_net() -> None:
     x, actions, targets = (rng.standard_normal((6, 4)), rng.integers(0, 3, size=6),
                            rng.standard_normal(6))
     acts = nets.forward(net, x, work=opt)
-    grads, _ = nets.backward(net, acts, rng.standard_normal((6, 3)), work=opt)
-    nets.adam_step(net.param_arrays(), grads, opt)
+    nets.backward(net, acts, rng.standard_normal((6, 3)), work=opt)
+    nets.adam_step(net.flat, opt.grad, opt)
     assert grad_check(net, _td_like_loss(x, actions, targets), tolerance=1e-4).passed
 
 
