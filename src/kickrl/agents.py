@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .demos import Transition
-from .nets import (Activations, AdamState, DenseNet, RowMemo, adam_step, backward, forward,
-                   forward_values, grown, mlp, net_to_arrays, soft_update)
+from .nets import (Activations, AdamState, DenseNet, RowMemo, RowTable, adam_step, backward,
+                   forward, forward_values, grown, mlp, net_to_arrays, soft_update)
 from .retrieval import LatentIndex, knn_batch, neighbor_action_counts
 from .seeding import spawn_rng
 
@@ -167,7 +167,7 @@ class ArrayBatch:
     next_latents: np.ndarray
     terminated: np.ndarray  # 0/1 floats; truncation bootstraps normally
     truncated: np.ndarray
-    # a replay batch's observation ids, in its table's numbering ``generation``
+    # the observations' ids in the RowTable numbering ``generation``, if known
     obs_ids: np.ndarray | None = None
     next_obs_ids: np.ndarray | None = None
     generation: object = None
@@ -177,8 +177,10 @@ class ArrayBatch:
 
     @classmethod
     def from_transitions(cls, transitions: list[Transition], encoder) -> "ArrayBatch":
+        """The transitions as a batch, their observations numbered in a fresh RowTable."""
         obs = np.stack([tr.obs for tr in transitions])
         next_obs = np.stack([tr.next_obs for tr in transitions])
+        table = RowTable()
         return cls(
             latents=encoder.encode_batch(obs),
             actions=np.asarray([tr.action for tr in transitions], dtype=np.int64),
@@ -186,6 +188,8 @@ class ArrayBatch:
             next_latents=encoder.encode_batch(next_obs),
             terminated=np.asarray([float(tr.terminated) for tr in transitions]),
             truncated=np.asarray([float(tr.truncated) for tr in transitions]),
+            obs_ids=table.add_all(obs), next_obs_ids=table.add_all(next_obs),
+            generation=table.generation,
         )
 
     def take(self, idx: np.ndarray) -> "ArrayBatch":
@@ -458,8 +462,8 @@ class QLearner(Learner):
     """Value learner: one online net plus a target net.
 
     The target net changes only in update_targets, so its values are
-    memoised per next-observation id (per next-latent on a batch without
-    ids) in ``target_values``, cleared there.  A learner's batches come
+    memoised per next-observation id (a batch without ids is computed
+    afresh) in ``target_values``, cleared there.  A learner's batches come
     through one encoder, so equal ids mean equal latents.
     """
 
@@ -588,7 +592,7 @@ class QDaggerLearner(QLearner):
     """Value learner with a distillation pull toward a cloned teacher.
 
     The teacher is frozen once cloned, so its probabilities are memoised
-    per observation id (or latent) for the whole run.
+    per observation id for the whole run.
     """
 
     kind = "qdagger"

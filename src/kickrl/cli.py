@@ -127,8 +127,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _check_flag(args, "--episodes", _at_least_one, ">= 1")
-    action_fn, meta = load_policy_snapshot(args.snapshot)
     spec = build_spec(args.env, _env_options(args.env_opt))
+    action_fn, meta = load_policy_snapshot(args.snapshot, spec)
     if meta.get("env_id") != spec.env_id:
         print(f"note: snapshot was trained on {meta.get('env_id')}, "
               f"evaluating on {spec.env_id}", file=sys.stderr)

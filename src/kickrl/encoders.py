@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .nets import (AdamState, DenseNet, RowMemo, RowTable, adam_step, backward, forward,
+from .nets import (AdamState, DenseNet, RowTable, adam_step, backward, forward,
                    forward_values, mlp, net_from_arrays, net_to_arrays)
 from .seeding import spawn_rng, spawn_seed
 from .snapshots import load_arrays, meta_field, save_arrays
@@ -61,7 +61,7 @@ class Encoder:
     """The row contract every encoder keeps: an observation of width ``dim``
     maps to a latent of width ``latent_dim`` (``dim`` unless the encoder says
     otherwise), one row or a (B, dim) batch.  Subclasses define ``_latents``,
-    the map over a checked float64 batch."""
+    the map over a checked float64 batch; ``_latent`` maps one checked row."""
 
     dim: int
 
@@ -73,6 +73,9 @@ class Encoder:
         obs = np.asarray(obs, dtype=np.float64)
         if obs.shape != (self.dim,):
             raise ShapeError(f"observation shape {obs.shape} != ({self.dim},)")
+        return self._latent(obs)
+
+    def _latent(self, obs: np.ndarray) -> np.ndarray:
         return self._latents(obs[None, :])[0]
 
     def encode_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -157,8 +160,8 @@ def fit_standardizer(observations: Corpus | np.ndarray,
 class DenseVaeEncoder(Encoder):
     """Dense VAE: encoder emits (mu, log-variance); decode reconstructs.
 
-    Encoded rows are memoised per observation; vae_train_step, the only code
-    that changes ``enc_net``, clears the memo.
+    ``encode`` memoises latents by observation id in a RowTable, and
+    vae_train_step, the only code that changes ``enc_net``, clears the memo.
     """
 
     def __init__(self, enc_net: DenseNet, dec_net: DenseNet, latent_dim: int,
@@ -172,8 +175,7 @@ class DenseVaeEncoder(Encoder):
             raise ShapeError("decoder dims must invert the encoder")
         self.enc_net = enc_net
         self.dec_net = dec_net
-        self.latent_memo = RowMemo(  # over locals: a closure on self is a reference cycle
-            lambda obs: forward_values(enc_net, obs)[:, :latent_dim].copy())
+        self.clear_memo()
         self.noise_rng = spawn_rng(noise_seed, "vae-noise")
 
     @property
@@ -190,7 +192,16 @@ class DenseVaeEncoder(Encoder):
         return f"vae:{self.latent_dim}:{tag & 0xFFFFFFFF:08x}"
 
     def _latents(self, batch: np.ndarray) -> np.ndarray:
-        return self.latent_memo(batch)
+        return forward_values(self.enc_net, batch)[:, :self.latent_dim].copy()
+
+    def _latent(self, obs: np.ndarray) -> np.ndarray:
+        row = self._seen.add(obs)
+        if row == len(self._seen_latents):
+            self._seen_latents.append(self._latents(obs[None, :])[0])
+        return self._seen_latents[row].copy()  # a new array: callers may write to it
+
+    def clear_memo(self) -> None:
+        self._seen, self._seen_latents = RowTable(), []  # encode's latents, by id
 
 
 def new_vae(input_dim: int, latent_dim: int, hidden: tuple[int, ...] = (64, 64),
@@ -268,7 +279,7 @@ def vae_train_step(vae: DenseVaeEncoder, batch: np.ndarray, beta: float,
         raise FloatingPointError(f"non-finite loss {parts.total}: step rejected")
     adam_step(vae.enc_net.flat, enc_opt.grad, enc_opt)
     adam_step(vae.dec_net.flat, dec_opt.grad, dec_opt)
-    vae.latent_memo.clear()
+    vae.clear_memo()
     return parts
 
 

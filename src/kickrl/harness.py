@@ -102,20 +102,21 @@ class ReplayBuffer:
         return self._size
 
     def take(self, slots: np.ndarray, encoder: Encoder) -> ArrayBatch:
-        """The transitions in ``slots`` as a new batch, bitwise equal to
-        ``ArrayBatch.from_transitions`` over the transitions pushed there,
-        with their observation ids; rows are encoded only on a memo miss."""
+        """The transitions in filled ``slots`` as a new batch, bitwise equal to
+        ``ArrayBatch.from_transitions`` over the transitions pushed there but
+        for the ids, which are the table's; rows are encoded only on a memo miss."""
         if encoder is not self._encoder:  # the memo closes over locals: one on self is a cycle
             observations, self._encoder = self.observations, encoder
             self._latents = RowMemo(lambda ids: encoder.encode_batch(observations.rows[ids]))
-        ids, generation = self._obs_ids[slots], self.observations.generation
+        n, generation = self._size, self.observations.generation  # only filled slots are read
+        ids = self._obs_ids[:n][slots]
         return ArrayBatch(
             latents=self._latents(ids[:, 0], ids[:, 0], generation),
-            actions=self._action[slots],
-            rewards=self._reward[slots],
+            actions=self._action[:n][slots],
+            rewards=self._reward[:n][slots],
             next_latents=self._latents(ids[:, 1], ids[:, 1], generation),
-            terminated=self._terminated[slots].astype(np.float64),
-            truncated=self._truncated[slots].astype(np.float64),
+            terminated=self._terminated[:n][slots].astype(np.float64),
+            truncated=self._truncated[:n][slots].astype(np.float64),
             obs_ids=ids[:, 0], next_obs_ids=ids[:, 1], generation=generation,
         )
 
@@ -537,14 +538,19 @@ def save_policy_snapshot(path: str, learner, encoder: Encoder,
     save_arrays(path, arrays, meta=meta)
 
 
-def load_policy_snapshot(path: str):
-    """Rebuild (greedy action_fn, meta) from a snapshot file."""
+def load_policy_snapshot(path: str, spec: GridWorldSpec | None = None):
+    """Rebuild (greedy action_fn, meta) from a snapshot file.  With ``spec``,
+    a policy whose observation width or action count is not the env's is a
+    ConfigError that names both of each."""
     arrays, meta = load_arrays(path)
     net = net_from_arrays(arrays, meta_field(meta, "head", str),
                           meta_field(meta, "head_activations", list))
     enc_arrays = {name[len("encoder."):]: arr for name, arr in arrays.items()
                   if name.startswith("encoder.")}
     encoder = encoder_from_arrays(enc_arrays, meta_field(meta, "encoder", dict))
+    if spec is not None and (encoder.dim, net.output_dim) != (spec.obs_dim, spec.action_count):
+        raise ConfigError(f"{path!r} maps observations of width {encoder.dim} to {net.output_dim} "
+                          f"actions, but the env has width {spec.obs_dim} and {spec.action_count}")
 
     def action_fn(obs: np.ndarray) -> int:
         return greedy_action(net, encoder.encode(obs))

@@ -244,55 +244,30 @@ def forward_values(net: DenseNet, batch: np.ndarray) -> np.ndarray:
 
 class RowMemo:
     """The output rows of a function that does not change while the memo
-    lives, keyed by the bytes of each input row, or by ids.
+    lives, keyed by the input rows' ids in the RowTable numbering
+    ``generation``: equal ids must mean equal rows.  A call without ids goes
+    to ``fn`` and records nothing.
 
-    A batch whose rows are all known is answered from the memo; otherwise the
-    whole batch goes to ``fn``, exactly the call an unmemoised caller makes,
-    and every new row is recorded.  Entries are kept per batch row count: a
-    dense forward's rounding depends on the batch's row count (a 1-row forward
-    is a gemv, and OpenBLAS picks another gemm kernel for a 256->4 layer from
-    977 rows on), but not on the batch's other rows.  On the package's nets
-    only the output layer's rounding moves between counts above 1, which
-    forward's gathered form relies on; the memo keys by the whole count, which
-    is safe on any build.  ``clear`` must be called whenever ``fn`` changes.
-    There is no size cap: callers feed grid worlds, whose inputs repeat.
-
-    With ``ids`` (the rows' ids in the RowTable numbering ``generation``)
-    the memo keys on them, and a known batch is one gather: equal ids must
-    mean equal rows, and ``batch`` only goes to ``fn``.  A new generation
-    starts the id entries over, so no stale id is read.
+    A batch whose ids are all known is one gather; otherwise ``batch`` goes
+    to ``fn``, exactly the call an unmemoised caller makes, and each new id is
+    recorded.  Entries are kept per batch row count: a dense forward's
+    rounding depends on the row count (a 1-row forward is a gemv, and OpenBLAS
+    picks another gemm kernel for a 256->4 layer from 977 rows on), not on the
+    other rows.  On the package's nets only the output layer's rounding moves
+    between counts above 1, which forward's gathered form relies on; keying by
+    the whole count is safe on any build.  Call ``clear`` whenever ``fn``
+    changes; a new generation starts over, so no stale id is read.  There is
+    no size cap: callers feed grid worlds, whose inputs repeat.
     """
 
     def __init__(self, fn):
         self.fn = fn
-        self._rows: dict[int, dict[bytes, np.ndarray]] = {}
         self._ids: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # (known, rows), by id
         self._generation = None
 
     def __call__(self, batch, ids: np.ndarray | None = None, generation=None) -> np.ndarray:
-        if ids is not None:
-            return self._by_id(batch, ids, generation)
-        x = np.ascontiguousarray(batch, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError(f"expected a batch matrix, got ndim={x.ndim}")
-        known = self._rows.setdefault(len(x), {})
-        rows = []
-        for row in x:
-            value = known.get(row.tobytes())
-            if value is None:
-                break
-            rows.append(value)
-        else:
-            if rows:
-                return np.array(rows)  # a new array: callers may write to it
-        out = self.fn(x)
-        for row, value in zip(x, out):
-            key = row.tobytes()  # made one at a time, so a large batch keeps only new rows' keys
-            if key not in known:
-                known[key] = value.copy()
-        return out
-
-    def _by_id(self, batch, ids: np.ndarray, generation) -> np.ndarray:
+        if ids is None:
+            return self.fn(batch)
         if generation is not self._generation:
             self._ids.clear()
             self._generation = generation
@@ -300,7 +275,7 @@ class RowMemo:
         if known is not None and len(ids) and ids.max() < len(known) and known[ids].all():
             return rows[ids]  # a new array: callers may write to it
         out = self.fn(batch)
-        fresh, first = np.unique(ids, return_index=True)  # each id's first row, as by bytes
+        fresh, first = np.unique(ids, return_index=True)  # each id's first row
         if known is None:
             known, rows = np.zeros(0, dtype=bool), np.empty((0,) + out.shape[1:], out.dtype)
         known = grown(known, len(fresh) and fresh[-1] + 1, False)
@@ -311,7 +286,6 @@ class RowMemo:
         return out
 
     def clear(self) -> None:
-        self._rows.clear()
         self._ids.clear()
 
 

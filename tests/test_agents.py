@@ -808,6 +808,47 @@ def test_qdagger_teacher_probs_equal_a_fresh_forward(room_store) -> None:
             learner.train_batch(batch)
 
 
+def test_from_transitions_numbers_observations_by_their_bytes() -> None:
+    """obs and next_obs share one numbering: equal ids exactly when the rows
+    have equal bytes (0.0 and -0.0 apart), and take keeps the ids."""
+    rng = np.random.default_rng(96)
+    pool = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
+    transitions = [demos.Transition(pool[rng.integers(4)], t % 4, 0.0, pool[rng.integers(4)],
+                                    False, False, t) for t in range(24)]
+    batch = agents.ArrayBatch.from_transitions(transitions, IdentityEncoder(2))
+    rows = [tr.obs for tr in transitions] + [tr.next_obs for tr in transitions]
+    ids = np.concatenate([batch.obs_ids, batch.next_obs_ids])
+    assert sorted(set(ids)) == [0, 1, 2]
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            assert (ids[i] == ids[j]) == (a.tobytes() == b.tobytes())
+    idx = rng.integers(0, len(batch), 10)
+    taken = batch.take(idx)
+    assert np.array_equal(taken.obs_ids, batch.obs_ids[idx])
+    assert np.array_equal(taken.next_obs_ids, batch.next_obs_ids[idx])
+    assert taken.generation is batch.generation is not None
+
+
+def test_awac_on_demo_batches_with_ids_trains_bitwise_like_without(room_store) -> None:
+    """The offline phase's batches carry ids, which key the target memo and
+    the shared online forward; a twin fed the same batches without ids, and
+    so with fresh forwards, ends with the same bytes."""
+    encoder = IdentityEncoder(room_store.obs_dim)
+    demo = agents.ArrayBatch.from_transitions(list(room_store.transitions()), encoder)
+    hp = dataclasses.replace(agents.defaults_for("awac"), hidden=(32, 32))
+    by_id, bare = (agents.AwacLearner(room_store.obs_dim, 4, hp, 5) for _ in range(2))
+    rng = np.random.default_rng(97)
+    for step in range(1, 41):
+        batch = demo.take(rng.integers(0, len(demo), 16))
+        assert by_id.train_batch(batch) == bare.train_batch(
+            dataclasses.replace(batch, obs_ids=None, next_obs_ids=None, generation=None))
+        if step % 8 == 0:
+            by_id.update_targets()
+            bare.update_targets()
+    for net in ("actor", "critic", "critic_target"):
+        assert getattr(by_id, net).flat.tobytes() == getattr(bare, net).flat.tobytes(), net
+
+
 def test_awac_forwards_the_critic_over_the_batch_once(monkeypatch) -> None:
     rng = np.random.default_rng(92)
     batch = _replay_like_batch(rng, n=8)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickrl import agents, cli, demos, envs, harness
+from kickrl import agents, cli, demos, encoders, envs, harness
 from kickrl.config import config_from_text, load_config
 from kickrl.errors import ConfigError
 
@@ -612,3 +612,37 @@ def test_run_seeds_rejects_repeated_seeds(tmp_path) -> None:
     with pytest.raises(ConfigError, match="repeat"):
         harness.run_seeds(cfg, [4, 5, 4])
     assert not os.path.exists(tmp_path / "out")
+
+
+def _untrained_snapshot(tmp_path, env: str, n_actions: int) -> str:
+    """A cdql snapshot of an untrained net with ``n_actions`` outputs over
+    ``env``'s identity encoder."""
+    spec = harness.build_spec(env, {})
+    hp = dataclasses.replace(agents.defaults_for("cdql"), hidden=(8,))
+    learner = agents.QLearner(spec.obs_dim, n_actions, hp, 0)
+    path = str(tmp_path / f"{env}.snapshot.jsonl")
+    harness.save_policy_snapshot(path, learner, encoders.IdentityEncoder(spec.obs_dim), spec)
+    return path
+
+
+@pytest.mark.parametrize("trained_on, n_actions, env, message", [
+    ("room-nav", 4, "four-rooms-nav", "width 128 to 4 actions, but the env has width 242 and 4"),
+    ("room-nav", 5, "room-nav", "width 128 to 5 actions, but the env has width 128 and 4"),
+    ("collect-grid", 5, "room-nav", "to 5 actions, but the env has width 128 and 4"),
+], ids=["obs-width", "action-count", "both"])
+def test_evaluate_on_an_env_the_snapshot_does_not_fit_is_a_config_error(
+        tmp_path, capsys, trained_on, n_actions, env, message) -> None:
+    """Exit 1 before any episode, naming both widths or both action counts."""
+    path = _untrained_snapshot(tmp_path, trained_on, n_actions)
+    assert cli.main(["evaluate", "--snapshot", path, "--env", env,
+                     "--episodes", "1", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_evaluate_on_the_env_a_snapshot_fits_runs(tmp_path, capsys) -> None:
+    path = _untrained_snapshot(tmp_path, "corridor-nav", 4)
+    assert cli.main(["evaluate", "--snapshot", path, "--env", "corridor-nav",
+                     "--episodes", "1", "--seed", "0"]) == 0
+    assert "mean_return" in capsys.readouterr().out

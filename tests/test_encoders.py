@@ -236,6 +236,34 @@ def test_encoded_latents_can_be_mutated_by_the_caller() -> None:
     assert np.array_equal(vae.encode(batch[0]), _fresh_latents(vae, batch[:1])[0])
 
 
+def test_vae_encode_runs_the_net_once_per_distinct_observation() -> None:
+    """encode memoises by an observation's bytes: repeated calls equal a
+    fresh 1-row forward_values slice bitwise, 0.0 and -0.0 are two
+    observations, and after vae_train_step encode follows the new net."""
+    vae = encoders.new_vae(input_dim=3, latent_dim=2, hidden=(8,), seed=17)
+    calls = []
+    latents = vae._latents
+    vae._latents = lambda batch: calls.append(len(batch)) or latents(batch)
+    zero, one = np.zeros(3), np.ones(3)
+    pool = (zero, -zero, one)
+
+    def fresh(obs):
+        return nets.forward_values(vae.enc_net, obs[None, :])[0, :vae.latent_dim]
+
+    for _ in range(3):
+        for obs in pool:
+            assert vae.encode(obs).tobytes() == fresh(obs).tobytes()
+    assert calls == [1, 1, 1]
+    before = vae.encode(one)
+    enc_opt = nets.AdamState.for_params(vae.enc_net.param_arrays(), 1e-2)
+    dec_opt = nets.AdamState.for_params(vae.dec_net.param_arrays(), 1e-2)
+    encoders.vae_train_step(vae, np.stack(pool * 4), 0.0, enc_opt, dec_opt)
+    for obs in pool:
+        assert vae.encode(obs).tobytes() == fresh(obs).tobytes()
+    assert calls == [1] * 6
+    assert not np.array_equal(vae.encode(one), before)
+
+
 # -- the pre-training corpus ------------------------------------------------------------
 
 

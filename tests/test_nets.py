@@ -577,6 +577,9 @@ def counted(net):
     return fn, calls
 
 
+GENERATION = object()  # one RowTable numbering for the memo tests' ids
+
+
 def test_row_memo_answers_bitwise_like_a_fresh_forward() -> None:
     net = small_net(71)
     fn, calls = counted(net)
@@ -584,8 +587,8 @@ def test_row_memo_answers_bitwise_like_a_fresh_forward() -> None:
     rng = np.random.default_rng(72)
     pool = rng.standard_normal((6, 4))
     for _ in range(40):
-        batch = pool[rng.integers(0, len(pool), rng.integers(1, 9))]
-        assert np.array_equal(memo(batch), nets.forward(net, batch).final)
+        ids = rng.integers(0, len(pool), rng.integers(1, 9))
+        assert np.array_equal(memo(pool[ids], ids, GENERATION), nets.forward(net, pool[ids]).final)
     assert len(calls) < 40  # repeated batches were answered from the memo
 
 
@@ -594,10 +597,10 @@ def test_row_memo_forwards_the_whole_batch_on_a_miss() -> None:
     fn, calls = counted(net)
     memo = nets.RowMemo(fn)
     pool = np.random.default_rng(74).standard_normal((3, 4))
-    memo(pool[[0, 1]])
-    memo(pool[[1, 0]])
+    for ids in ([0, 1], [1, 0]):
+        memo(pool[ids], np.array(ids), GENERATION)
     assert calls == [2]
-    memo(pool[[0, 2]])
+    memo(pool[[0, 2]], np.array([0, 2]), GENERATION)
     assert calls == [2, 2]
 
 
@@ -608,29 +611,43 @@ def test_row_memo_keeps_row_counts_apart() -> None:
     fn, calls = counted(net)
     memo = nets.RowMemo(fn)
     row = np.random.default_rng(76).standard_normal((1, 4))
-    memo(np.vstack([row, row]))
-    assert np.array_equal(memo(row), nets.forward(net, row).final)
+    memo(np.vstack([row, row]), np.array([0, 0]), GENERATION)
+    assert np.array_equal(memo(row, np.array([0]), GENERATION), nets.forward(net, row).final)
     assert calls == [2, 1]
 
 
 def test_row_memo_results_can_be_mutated_by_the_caller() -> None:
     net = small_net(77)
     memo = nets.RowMemo(lambda x: nets.forward(net, x).final)
-    batch = np.random.default_rng(78).standard_normal((3, 4))
+    batch, ids = np.random.default_rng(78).standard_normal((3, 4)), np.arange(3)
     expected = nets.forward(net, batch).final
-    memo(batch)[:] = 99.0  # the miss path's result
-    memo(batch)[:] = -99.0  # the hit path's result
-    assert np.array_equal(memo(batch), expected)
+    memo(batch, ids, GENERATION)[:] = 99.0  # the miss path's result
+    memo(batch, ids, GENERATION)[:] = -99.0  # the hit path's result
+    assert np.array_equal(memo(batch, ids, GENERATION), expected)
 
 
 def test_row_memo_clear_drops_every_row() -> None:
     net = small_net(79)
     memo = nets.RowMemo(lambda x: nets.forward(net, x).final)
-    batch = np.random.default_rng(80).standard_normal((3, 4))
-    memo(batch)
+    batch, ids = np.random.default_rng(80).standard_normal((3, 4)), np.arange(3)
+    memo(batch, ids, GENERATION)
     net.layers[0].weights += 1.0
     memo.clear()
-    assert np.array_equal(memo(batch), nets.forward(net, batch).final)
+    assert np.array_equal(memo(batch, ids, GENERATION), nets.forward(net, batch).final)
+
+
+def test_row_memo_without_ids_calls_fn_every_time() -> None:
+    """A batch without ids (a hand-built one) is computed afresh and leaves
+    no entry behind."""
+    net = small_net(83)
+    fn, calls = counted(net)
+    memo = nets.RowMemo(fn)
+    batch = np.random.default_rng(84).standard_normal((3, 4))
+    for _ in range(3):
+        assert np.array_equal(memo(batch), nets.forward(net, batch).final)
+    assert calls == [3, 3, 3]
+    memo(batch, np.arange(3), GENERATION)
+    assert calls == [3, 3, 3, 3]  # the id entries start empty
 
 
 def test_row_memo_by_id_gathers_known_ids_and_starts_over_on_a_new_generation() -> None:

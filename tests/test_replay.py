@@ -97,7 +97,7 @@ def assert_batch_holds(batch: ArrayBatch, transitions: list[Transition], encoder
     ``buffer``'s table under its current numbering."""
     expected = ArrayBatch.from_transitions(transitions, encoder)
     for name, values in vars(expected).items():
-        if values is None:  # the ids, which a batch from transitions lacks
+        if name in ("obs_ids", "next_obs_ids", "generation"):  # another table's numbering
             continue
         other = getattr(batch, name)
         assert values.dtype == other.dtype, name
@@ -187,20 +187,20 @@ def test_a_capacity_one_buffer_keeps_the_last_transition() -> None:
 
 @pytest.mark.parametrize("encoder", [IdentityEncoder(5), new_vae(5, 3, hidden=(8,), seed=4)],
                          ids=["identity", "vae"])
-def test_ids_across_compactions_match_the_byte_keyed_and_fresh_oracles(encoder) -> None:
+def test_ids_across_compactions_match_the_fresh_oracles(encoder) -> None:
     """Observations that never repeat compact the table between batches, and
     compaction renumbers the ids under the memos.  Every batch still equals
     its list oracle; the id-keyed target values and neighbour rows equal a
     fresh forward and a fresh search; and a learner fed the batches trains bit
-    for bit as a twin fed them without ids (byte keys, fresh searches)."""
+    for bit as a twin fed them without ids (fresh forwards and searches)."""
     capacity, batch_size = 16, 8
     demo_obs = np.stack([tr.obs for tr in continuous_transitions(40, seed=14)])
     index = retrieval.LatentIndex(
         latents=encoder.encode_batch(demo_obs), actions=np.arange(40) % 4, rewards=np.zeros(40),
         provenance=[(0, i) for i in range(40)], encoder_id="test", env_id="toy", action_count=4)
     hp = Hyperparams(lam=1.0, k_neighbors=3, hidden=(8,), batch_size=batch_size)
-    by_id, by_bytes = (AdversarialKickstartLearner(encoder.latent_dim, 4, hp, 0, index)
-                       for _ in range(2))
+    by_id, fresh = (AdversarialKickstartLearner(encoder.latent_dim, 4, hp, 0, index)
+                    for _ in range(2))
     arrays, listed = harness.ReplayBuffer(capacity), ListReplayBuffer(capacity)
     rng, ref_rng = spawn_rng(1, "replay"), spawn_rng(1, "replay")
     generations = []  # kept alive, so that their ids stay distinct
@@ -218,10 +218,33 @@ def test_ids_across_compactions_match_the_byte_keyed_and_fresh_oracles(encoder) 
                 by_id.target_values(batch.next_latents, batch.next_obs_ids, batch.generation),
                 forward_values(by_id.q_target, batch.next_latents))
             bare = replace(batch, obs_ids=None, next_obs_ids=None, generation=None)
-            assert by_id.train_batch(batch) == by_bytes.train_batch(bare)
+            assert by_id.train_batch(batch) == fresh.train_batch(bare)
         if i % 40 == 39:
             by_id.update_targets()
-            by_bytes.update_targets()
+            fresh.update_targets()
     assert len({id(g) for g in generations}) > 3  # the table was compacted between batches
-    for p, q in zip(by_id.q.param_arrays(), by_bytes.q.param_arrays()):
+    for p, q in zip(by_id.q.param_arrays(), fresh.q.param_arrays()):
         assert np.array_equal(p, q)
+
+
+def test_take_reads_only_filled_slots() -> None:
+    """A slot at or past len(buffer) is numpy's IndexError naming it, on a
+    fresh buffer, whose unfilled slots hold no transition, and on a ring that
+    has wrapped, whose slots are all filled."""
+    encoder = IdentityEncoder(5)
+    buffer = harness.ReplayBuffer(8)
+    transitions = continuous_transitions(2, seed=21)
+    for tr in transitions:
+        push(buffer, tr)
+    for slot in (2, 5, 7):
+        with pytest.raises(IndexError, match=f"index {slot} is out of bounds"):
+            buffer.take(np.array([0, slot]), encoder)
+    assert_buffer_holds(buffer, transitions)
+    ring = harness.ReplayBuffer(4)
+    transitions = continuous_transitions(6, seed=22)
+    for tr in transitions:
+        push(ring, tr)
+    with pytest.raises(IndexError, match="index 4 is out of bounds"):
+        ring.take(np.array([4]), encoder)
+    assert_batch_holds(ring.take(np.arange(4), encoder), transitions[4:] + transitions[2:4],
+                       encoder, ring)
